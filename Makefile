@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build examples test race bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
+.PHONY: check vet build examples test race fuzz-smoke bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
 
 check: vet build examples race test
 
@@ -51,6 +51,13 @@ race:
 
 test:
 	$(GO) test ./...
+
+# Run each native fuzz target for a short burst on top of its seed
+# corpus in testdata/fuzz/: the indexed occupancy CountAt and the
+# merged-interval outage lookup against their linear-scan references.
+fuzz-smoke:
+	$(GO) test ./internal/occupancy -run '^$$' -fuzz '^FuzzCountAt$$' -fuzztime 10s
+	$(GO) test ./internal/sensornet -run '^$$' -fuzz '^FuzzInOutage$$' -fuzztime 10s
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

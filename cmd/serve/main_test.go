@@ -53,6 +53,11 @@ func TestSigtermDrainsWithoutLosingResponses(t *testing.T) {
 	}()
 	srv := <-ready
 	base := rt.Metrics.URL()
+	// Hold every computation until the signal has been sent, so all six
+	// requests are inside the daemon when it arrives; a request that has
+	// not reached the daemon yet is refused by the drain by design.
+	release := make(chan struct{})
+	srv.SetComputeHook(func(string) { <-release })
 
 	// Six distinct cold control runs against a 2-slot admission gate:
 	// some compute, some queue — all are in flight when the signal
@@ -79,9 +84,9 @@ func TestSigtermDrainsWithoutLosingResponses(t *testing.T) {
 		}(100 + i)
 	}
 
-	// Wait until the daemon is actually serving them, then kill it.
+	// Wait until the daemon is serving all of them, then kill it.
 	deadline := time.After(30 * time.Second)
-	for srv.InFlight() == 0 {
+	for srv.InFlight() < n {
 		select {
 		case <-deadline:
 			t.Fatal("requests never went in flight")
@@ -91,6 +96,14 @@ func TestSigtermDrainsWithoutLosingResponses(t *testing.T) {
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	for !srv.Draining() {
+		select {
+		case <-deadline:
+			t.Fatal("daemon never began draining after SIGTERM")
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	close(release)
 
 	wg.Wait()
 	close(results)

@@ -171,6 +171,22 @@ type Simulator struct {
 	seatMask  []bool    // per-cell seating membership
 	outletOf  []int     // supply outlet feeding each front cell (-1: none)
 
+	// Compiled conductance classes (see cellClass): classOf maps each
+	// cell to its class, whose per-substep coefficients substep fills
+	// in once before the cell sweep.
+	classes []cellClass
+	classOf []int32
+
+	// Per-Step supply state: the per-VAV flows summed into per-outlet
+	// totals, each outlet's plenum mixing fraction and its conductance
+	// into one front cell. Flows are constant over a Step's substeps.
+	flows          []float64
+	plenumAlpha    []float64
+	frontPerOutlet []int
+	supplyG        []float64
+	totalFlow      float64
+	logDrift       float64 // log1p(MixDriftPerDay), cached for driftFactor
+
 	airMass float64 // kg, actual (unscaled) room air mass
 	volume  float64 // m^3
 
@@ -242,6 +258,16 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		s.outletOf[iy] = iy * cfg.NumOutlets / s.ny
 	}
 
+	s.frontPerOutlet = make([]int, cfg.NumOutlets)
+	for iy := 0; iy < s.ny; iy++ {
+		s.frontPerOutlet[s.outletOf[iy]]++
+	}
+	s.flows = make([]float64, cfg.NumOutlets)
+	s.plenumAlpha = make([]float64, cfg.NumOutlets)
+	s.supplyG = make([]float64, cfg.NumOutlets)
+	s.logDrift = math.Log1p(cfg.MixDriftPerDay)
+	s.compileClasses()
+
 	for i := range s.temps {
 		s.temps[i] = cfg.InitialTemp
 	}
@@ -280,6 +306,7 @@ func (s *Simulator) Step(dt time.Duration, in Inputs) error {
 		steps = 1
 	}
 	sub := total / float64(steps)
+	s.setSupply(sub, in.HVAC.Flows)
 	for k := 0; k < steps; k++ {
 		s.substep(sub, in)
 	}
@@ -288,43 +315,134 @@ func (s *Simulator) Step(dt time.Duration, in Inputs) error {
 	return nil
 }
 
-// outletFlows sums the per-VAV flows into per-outlet totals (kg/s).
-func (s *Simulator) outletFlows(flows []float64) []float64 {
-	out := make([]float64, s.cfg.NumOutlets)
-	if len(flows) == 0 {
-		return out
-	}
-	for i, f := range flows {
-		o := i * s.cfg.NumOutlets / len(flows)
-		if o >= s.cfg.NumOutlets {
-			o = s.cfg.NumOutlets - 1
-		}
-		out[o] += f
-	}
-	return out
+// Edge kinds of the inter-cell mixing conductance: an edge between two
+// seating cells carries the boosted mixing conductance
+// (occupant-churned zone); an edge crossing the stage/seating boundary
+// carries the attenuated one (the supply jets short-circuit to the
+// stage returns, so the stage microclimate couples only weakly into
+// the seats); any other edge carries the plain one.
+const (
+	edgePlain = iota
+	edgeBoost
+	edgeStage
+)
+
+// cellClass is one conductance class: cells whose neighbour edges have
+// the same offsets and kinds in edge order, with the same envelope
+// share, front outlet, seating membership and oscillation half. Every
+// cell of a class sums the same terms into g in the same order, so they
+// share g bit-for-bit, and with it exp(-sub*g/cap) and the heat load:
+// substep computes those once per class instead of once per cell.
+type cellClass struct {
+	nEdge  int
+	off    [4]int   // neighbour index offsets in edge order (x-1, x+1, y-1, y+1)
+	kind   [4]uint8 // edge kinds, parallel to off
+	env    float64  // envelope conductance share (0: interior cell)
+	outlet int      // supply outlet feeding the cell (-1: not a front cell)
+	seat   bool     // receives occupant heat
+	back   bool     // in the return-plume half of the oscillation
+
+	// Per-substep coefficients, written before the cell sweep and only
+	// read during it: each edge's mixing conductance, the total
+	// conductance g, exp(-sub*g/cap) and the heat load.
+	m              [4]float64
+	g, decay, load float64
 }
 
-// substep advances one internal step of sub seconds.
+// compileClasses groups the cells into conductance classes.
+func (s *Simulator) compileClasses() {
+	nx, ny := s.nx, s.ny
+	s.classOf = make([]int32, nx*ny)
+	index := make(map[cellClass]int32)
+	for ix := 0; ix < nx; ix++ {
+		for iy := 0; iy < ny; iy++ {
+			i := ix*ny + iy
+			c := cellClass{
+				env:    s.envUA[i],
+				outlet: -1,
+				seat:   s.seatMask[i],
+				back:   5*ix >= 2*nx,
+			}
+			edge := func(off int) {
+				k := uint8(edgePlain)
+				if seatJ := s.seatMask[i+off]; c.seat != seatJ {
+					k = edgeStage
+				} else if c.seat {
+					k = edgeBoost
+				}
+				c.off[c.nEdge] = off
+				c.kind[c.nEdge] = k
+				c.nEdge++
+			}
+			if ix > 0 {
+				edge(-ny)
+			}
+			if ix < nx-1 {
+				edge(ny)
+			}
+			if iy > 0 {
+				edge(-1)
+			}
+			if iy < ny-1 {
+				edge(1)
+			}
+			if !(c.env > 0) {
+				c.env = 0 // no envelope term (keeps NaN out of the class key)
+			}
+			if ix == 0 {
+				c.outlet = s.outletOf[iy]
+			}
+			id, ok := index[c]
+			if !ok {
+				id = int32(len(s.classes))
+				index[c] = id
+				s.classes = append(s.classes, c)
+			}
+			s.classOf[i] = id
+		}
+	}
+}
+
+// setSupply derives the Step-constant supply state: per-outlet flow
+// totals (kg/s) from the per-VAV flows, each outlet's plenum mixing
+// fraction over one substep, its front-cell supply conductance and the
+// total flow.
+func (s *Simulator) setSupply(sub float64, vavFlows []float64) {
+	nOut := s.cfg.NumOutlets
+	for o := range s.flows {
+		s.flows[o] = 0
+	}
+	for i, f := range vavFlows {
+		o := i * nOut / len(vavFlows)
+		if o >= nOut {
+			o = nOut - 1
+		}
+		s.flows[o] += f
+	}
+	s.totalFlow = 0
+	for o, f := range s.flows {
+		s.totalFlow += f
+		s.plenumAlpha[o] = 1 - math.Exp(-sub*f/s.cfg.PlenumMass)
+		// Each outlet's flow splits over the front cells in its band.
+		s.supplyG[o] = f * airCp / float64(s.frontPerOutlet[o])
+	}
+}
+
+// substep advances one internal step of sub seconds. Step has already
+// set the supply state for in.HVAC.Flows.
 func (s *Simulator) substep(sub float64, in Inputs) {
 	cfg := &s.cfg
 	mix := cfg.MixingUA * s.driftFactor()
-	// Validate() guarantees boost >= 1 and stage in (0, 1]; the old
-	// silent clamps are gone.
-	boost := cfg.SeatMixBoost
-	stage := cfg.StageMixFactor
+	// Validate() guarantees boost >= 1 and stage in (0, 1].
+	mixOf := [3]float64{edgePlain: mix, edgeBoost: mix * cfg.SeatMixBoost, edgeStage: mix * cfg.StageMixFactor}
 	groundTemp := cfg.GroundTemp + cfg.GroundTempDriftPerDay*s.elapsed/86400
-
-	flows := s.outletFlows(in.HVAC.Flows)
-	var totalFlow float64
-	for _, f := range flows {
-		totalFlow += f
-	}
+	flows := s.flows
+	totalFlow := s.totalFlow
 
 	// Supply plenums: first-order mixing of supply air into each
 	// outlet's delivery stream.
 	for o := range s.outlet {
-		alpha := 1 - math.Exp(-sub*flows[o]/cfg.PlenumMass)
-		s.outlet[o] += alpha * (in.HVAC.SupplyTemp - s.outlet[o])
+		s.outlet[o] += s.plenumAlpha[o] * (in.HVAC.SupplyTemp - s.outlet[o])
 	}
 
 	// Per-cell loads.
@@ -338,8 +456,10 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 	// It is driven by the supply jets, so its strength follows the total
 	// supply flow: near-quiet overnight when the plant is off (a small
 	// buoyancy floor keeps the air from sitting perfectly still), full
-	// strength under daytime ventilation.
-	var wobAmp, wobPhase float64
+	// strength under daytime ventilation. The front and back halves
+	// breathe in counter-phase, like a slow room-scale circulation cell.
+	var wob bool
+	var wobFront, wobBack float64
 	if cfg.TurbulencePower > 0 {
 		period := cfg.TurbulencePeriod
 		if period <= 0 {
@@ -349,102 +469,85 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 		if frac > 1 {
 			frac = 1
 		}
-		wobAmp = frac * cfg.TurbulencePower / float64(len(s.temps))
-		wobPhase = 2 * math.Pi * s.elapsed / period.Seconds()
+		wobAmp := frac * cfg.TurbulencePower / float64(len(s.temps))
+		wobPhase := 2 * math.Pi * s.elapsed / period.Seconds()
+		if wob = wobAmp > 0; wob {
+			wobFront = wobAmp * math.Sin(wobPhase)
+			wobBack = wobAmp * math.Sin(wobPhase+math.Pi)
+		}
 	}
 
-	// Front-cell supply conductance: each outlet's flow splits over the
-	// front cells in its band.
-	frontPerOutlet := make([]int, cfg.NumOutlets)
-	for iy := 0; iy < s.ny; iy++ {
-		frontPerOutlet[s.outletOf[iy]]++
+	// Per-class coefficients: the conductance-weighted relaxation rate
+	// g (edges in edge order, then envelope, ground and front-cell
+	// supply, exactly the per-cell summation order), its exponential
+	// decay over the substep and the heat load.
+	for c := range s.classes {
+		cl := &s.classes[c]
+		var g float64
+		for e := 0; e < cl.nEdge; e++ {
+			cl.m[e] = mixOf[cl.kind[e]]
+			g += cl.m[e]
+		}
+		if cl.env > 0 {
+			g += cl.env
+		}
+		g += s.groundUA
+		if o := cl.outlet; o >= 0 && flows[o] > 0 {
+			g += s.supplyG[o]
+		}
+		cl.g = g
+		if g > 0 {
+			cl.decay = math.Exp(-sub * g / s.cellCap)
+		}
+		load := lightHeat
+		if cl.seat {
+			load += occHeat
+		}
+		if wob {
+			if cl.back {
+				load += wobBack
+			} else {
+				load += wobFront
+			}
+		}
+		cl.load = load
 	}
 
 	old := s.temps
 	next := s.scratch
-	nx, ny := s.nx, s.ny
-	// The cell update reads only the frozen `old` field and writes only
-	// next[ix*ny : (ix+1)*ny] for its own rows, so grid-row bands are
-	// independent: large grids fan out over the par worker pool with the
-	// exact serial per-cell arithmetic (bit-for-bit identical results at
-	// any worker count). The paper-scale default grid (10x6 cells) stays
-	// below simParCells and runs serially with zero overhead.
+	ny := s.ny
+	groundGT := s.groundUA * groundTemp
+	// The cell update reads only the frozen `old` field and the class
+	// coefficients, and writes only next[ix*ny : (ix+1)*ny] for its own
+	// rows, so grid-row bands are independent: large grids fan out over
+	// the par worker pool with the exact serial per-cell arithmetic
+	// (bit-for-bit identical results at any worker count). The
+	// paper-scale default grid (10x6 cells) stays below simParCells and
+	// runs serially with zero overhead.
 	update := func(ixlo, ixhi int) {
-		for ix := ixlo; ix < ixhi; ix++ {
-			for iy := 0; iy < ny; iy++ {
-				i := ix*ny + iy
-				ti := old[i]
-				seatI := s.seatMask[i]
-				// Conductance-weighted equilibrium of the frozen neighborhood:
-				// unconditionally stable exponential relaxation toward it. An
-				// edge between two seating cells carries the boosted mixing
-				// conductance (occupant-churned zone); an edge crossing the
-				// stage/seating boundary carries the attenuated one (the
-				// supply jets short-circuit to the stage returns, so the
-				// stage microclimate couples only weakly into the seats).
-				var g, gt float64
-				edge := func(j int) {
-					m := mix
-					if seatI == s.seatMask[j] {
-						if seatI {
-							m *= boost
-						}
-					} else {
-						m *= stage
-					}
-					g += m
-					gt += m * old[j]
-				}
-				if ix > 0 {
-					edge(i - ny)
-				}
-				if ix < nx-1 {
-					edge(i + ny)
-				}
-				if iy > 0 {
-					edge(i - 1)
-				}
-				if iy < ny-1 {
-					edge(i + 1)
-				}
-				if e := s.envUA[i]; e > 0 {
-					g += e
-					gt += e * in.Ambient
-				}
-				g += s.groundUA
-				gt += s.groundUA * groundTemp
-
-				load := lightHeat
-				if seatI {
-					load += occHeat
-				}
-				if wobAmp > 0 {
-					// Two-zone standing oscillation: the front (supply-jet)
-					// half and the back (return-plume) half breathe in
-					// counter-phase, like a slow room-scale circulation cell.
-					phase := wobPhase
-					if 5*ix >= 2*nx {
-						phase += math.Pi
-					}
-					load += wobAmp * math.Sin(phase)
-				}
-				if ix == 0 {
-					o := s.outletOf[iy]
-					if flows[o] > 0 {
-						gs := flows[o] * airCp / float64(frontPerOutlet[o])
-						g += gs
-						gt += gs * s.outlet[o]
-					}
-				}
-
-				next[i] = relax(ti, g, gt, load, sub, s.cellCap)
+		for i := ixlo * ny; i < ixhi*ny; i++ {
+			cl := &s.classes[s.classOf[i]]
+			// Conductance-weighted equilibrium of the frozen
+			// neighborhood: unconditionally stable exponential
+			// relaxation toward it.
+			var gt float64
+			for e := 0; e < cl.nEdge; e++ {
+				gt += cl.m[e] * old[i+cl.off[e]]
 			}
+			if cl.env > 0 {
+				gt += cl.env * in.Ambient
+			}
+			gt += groundGT
+			if o := cl.outlet; o >= 0 && flows[o] > 0 {
+				gt += s.supplyG[o] * s.outlet[o]
+			}
+			next[i] = relaxDecay(old[i], cl.g, gt, cl.load, sub, s.cellCap, cl.decay)
 		}
 	}
-	if nx*ny >= simParCells {
-		par.For(0, nx, 1, update)
+	if s.nx*ny >= simParCells {
+		par.For(0, s.nx, 1, update)
 	} else {
-		update(0, nx)
+		update(0, s.nx)
 	}
 	s.temps, s.scratch = next, old
 
@@ -473,11 +576,18 @@ func (s *Simulator) substep(sub float64, in Inputs) {
 // (gt + load)/g with the exact exponential for time constant cap/g.
 // It is unconditionally stable for any substep.
 func relax(ti, g, gt, load, sub, cap float64) float64 {
+	return relaxDecay(ti, g, gt, load, sub, cap, math.Exp(-sub*g/cap))
+}
+
+// relaxDecay is relax with its decay factor math.Exp(-sub*g/cap)
+// supplied by the caller, so cells sharing g share one Exp. The decay
+// is unused when g <= 0.
+func relaxDecay(ti, g, gt, load, sub, cap, decay float64) float64 {
 	if g <= 0 {
 		return ti + sub*load/cap
 	}
 	teq := (gt + load) / g
-	return teq + (ti-teq)*math.Exp(-sub*g/cap)
+	return teq + (ti-teq)*decay
 }
 
 // driftFactor is the seasonal mixing drift multiplier after the
@@ -487,7 +597,7 @@ func (s *Simulator) driftFactor() float64 {
 		return 1
 	}
 	days := s.elapsed / 86400
-	return math.Exp(days * math.Log1p(s.cfg.MixDriftPerDay))
+	return math.Exp(days * s.logDrift)
 }
 
 // cellIndexFrac maps a point to fractional cell-grid coordinates,

@@ -170,20 +170,21 @@ func SpectralRadius(a *Dense, iters int) (float64, error) {
 		a = a.Scale(1 / mx)
 	}
 	var best float64
+	// The iterate and the next product alternate between two buffers.
+	x := make([]float64, n)
+	y := make([]float64, n)
 	// Deterministic restart vectors: unit basis directions plus the
 	// all-ones vector to escape unlucky invariant subspaces.
 	for r := 0; r <= n; r++ {
-		x := make([]float64, n)
-		if r == n {
-			for i := range x {
+		for i := range x {
+			x[i] = 0
+			if r == n || i == r {
 				x[i] = 1
 			}
-		} else {
-			x[r] = 1
 		}
 		var lam float64
 		for it := 0; it < iters; it++ {
-			y := a.MulVec(x)
+			a.MulVecTo(y, x)
 			ny := Norm2(y)
 			if ny == 0 {
 				lam = 0
@@ -193,7 +194,7 @@ func SpectralRadius(a *Dense, iters int) (float64, error) {
 			for i := range y {
 				y[i] /= ny
 			}
-			x = y
+			x, y = y, x
 		}
 		if lam > best {
 			best = lam

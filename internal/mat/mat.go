@@ -99,10 +99,22 @@ func (m *Dense) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
+// boundsCheck is cheap enough that At and Set inline into their
+// callers: one unsigned compare per index (a negative index wraps to a
+// huge uint). The panic value is an indexError, whose message is only
+// formatted when something prints it; a call to a formatting helper
+// here would push At and Set over the compiler's inlining budget.
 func (m *Dense) boundsCheck(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: index (%d,%d) out of range for %dx%d matrix", i, j, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
 	}
+}
+
+// indexError is the panic value for an out-of-range element index.
+type indexError struct{ i, j, rows, cols int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("mat: index (%d,%d) out of range for %dx%d matrix", e.i, e.j, e.rows, e.cols)
 }
 
 // RawRow returns the i-th row as a slice aliasing the matrix storage.
@@ -251,17 +263,50 @@ func (m *Dense) MulVec(x []float64) []float64 {
 		panic(fmt.Sprintf("mat: cannot multiply %dx%d by vector of length %d", m.rows, m.cols, len(x)))
 	}
 	out := make([]float64, m.rows)
-	dotRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = Dot(m.RawRow(i), x)
-		}
+	m.MulVecTo(out, x)
+	return out
+}
+
+// MulVecTo computes m*x into dst, which must not alias x. It panics if
+// len(x) != Cols() or len(dst) != Rows(). Every dst[i] is bit-for-bit
+// Dot(m.RawRow(i), x), on the same row-parallel split as MulVec.
+func (m *Dense) MulVecTo(dst, x []float64) {
+	if len(x) != m.cols || len(dst) != m.rows {
+		panic(fmt.Sprintf("mat: cannot multiply %dx%d by vector of length %d into length %d",
+			m.rows, m.cols, len(x), len(dst)))
 	}
 	if m.rows*m.cols >= mulVecParFlops {
-		par.For(0, m.rows, 8, dotRows)
+		par.For(0, m.rows, 8, func(lo, hi int) { m.dotRows(dst, x, lo, hi) })
 	} else {
-		dotRows(0, m.rows)
+		m.dotRows(dst, x, 0, m.rows)
 	}
-	return out
+}
+
+// dotRows sets dst[i] = Dot(row i, x) for rows [lo, hi). Four rows run
+// at once on four independent accumulators: each row still sums its
+// products in column order, exactly as Dot does, but the four addition
+// chains overlap instead of waiting on one another.
+func (m *Dense) dotRows(dst, x []float64, lo, hi int) {
+	c := m.cols
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0 := m.data[i*c : i*c+c]
+		r1 := m.data[(i+1)*c : (i+1)*c+c]
+		r2 := m.data[(i+2)*c : (i+2)*c+c]
+		r3 := m.data[(i+3)*c : (i+3)*c+c]
+		x := x[:c]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < hi; i++ {
+		dst[i] = Dot(m.data[i*c:i*c+c], x)
+	}
 }
 
 // Slice returns a copy of the submatrix rows [r0,r1) and columns [c0,c1).

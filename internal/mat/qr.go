@@ -24,23 +24,27 @@ func NewQR(a *Dense) (*QR, error) {
 	}
 	qr := a.Clone()
 	rdia := make([]float64, n)
+	// The loops index the row-major backing slice directly (element
+	// (i, j) is d[i*n+j]); the arithmetic and its order are those of
+	// the textbook At/Set formulation.
+	d := qr.data
 	for k := 0; k < n; k++ {
 		// Norm of the k-th column below (and including) the diagonal.
 		var nrm float64
 		for i := k; i < m; i++ {
-			nrm = math.Hypot(nrm, qr.At(i, k))
+			nrm = math.Hypot(nrm, d[i*n+k])
 		}
 		if nrm == 0 {
 			rdia[k] = 0
 			continue
 		}
-		if qr.At(k, k) < 0 {
+		if d[k*n+k] < 0 {
 			nrm = -nrm
 		}
 		for i := k; i < m; i++ {
-			qr.Set(i, k, qr.At(i, k)/nrm)
+			d[i*n+k] /= nrm
 		}
-		qr.Set(k, k, qr.At(k, k)+1)
+		d[k*n+k]++
 		// Apply the reflector to the remaining columns. Each trailing
 		// column update is independent (reads column k, read-writes its
 		// own column), so large panels fan out over the par worker pool
@@ -49,11 +53,11 @@ func NewQR(a *Dense) (*QR, error) {
 			for j := k + 1 + jlo; j < k+1+jhi; j++ {
 				var s float64
 				for i := k; i < m; i++ {
-					s += qr.At(i, k) * qr.At(i, j)
+					s += d[i*n+k] * d[i*n+j]
 				}
-				s = -s / qr.At(k, k)
+				s = -s / d[k*n+k]
 				for i := k; i < m; i++ {
-					qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+					d[i*n+j] += s * d[i*n+k]
 				}
 			}
 		}
@@ -133,26 +137,29 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 	}
 	y := make([]float64, m)
 	copy(y, b)
+	d := f.qr.data
 	// Apply Q^T to b.
 	for k := 0; k < n; k++ {
-		if f.qr.At(k, k) == 0 {
+		dkk := d[k*n+k]
+		if dkk == 0 {
 			continue
 		}
 		var s float64
 		for i := k; i < m; i++ {
-			s += f.qr.At(i, k) * y[i]
+			s += d[i*n+k] * y[i]
 		}
-		s = -s / f.qr.At(k, k)
+		s = -s / dkk
 		for i := k; i < m; i++ {
-			y[i] += s * f.qr.At(i, k)
+			y[i] += s * d[i*n+k]
 		}
 	}
 	// Back-substitute R*x = y[:n].
 	x := make([]float64, n)
 	for k := n - 1; k >= 0; k-- {
 		s := y[k]
+		row := d[k*n : k*n+n]
 		for j := k + 1; j < n; j++ {
-			s -= f.qr.At(k, j) * x[j]
+			s -= row[j] * x[j]
 		}
 		x[k] = s / f.rdia[k]
 	}

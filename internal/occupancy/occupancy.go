@@ -29,6 +29,29 @@ type Event struct {
 // Schedule is a time-ordered list of non-overlapping events.
 type Schedule struct {
 	events []Event
+
+	// The CountAt index, built once by newSchedule: event k's ramped
+	// window opens at opens[k], and reach[k] is the latest ramped close
+	// among events 0..k. Events are in start order and rampIn is
+	// constant, so opens is non-decreasing; reach is by construction.
+	opens, reach []time.Time
+}
+
+// newSchedule wraps start-ordered events and builds the CountAt index.
+func newSchedule(events []Event) *Schedule {
+	s := &Schedule{
+		events: events,
+		opens:  make([]time.Time, len(events)),
+		reach:  make([]time.Time, len(events)),
+	}
+	for k, e := range events {
+		s.opens[k] = e.Start.Add(-rampIn)
+		s.reach[k] = e.End.Add(rampOut)
+		if k > 0 && s.reach[k].Before(s.reach[k-1]) {
+			s.reach[k] = s.reach[k-1]
+		}
+	}
+	return s
 }
 
 // Events returns a copy of the scheduled events in start order.
@@ -47,9 +70,17 @@ const (
 )
 
 // CountAt returns the ground-truth number of occupants at time t.
+//
+// It visits only the events whose ramped window can cover t, in
+// schedule order, so the float sum is the one a scan over every event
+// would make: events [hi:] open after t, and every event before lo
+// closed before t (reach[lo-1] < t).
 func (s *Schedule) CountAt(t time.Time) int {
+	hi := sort.Search(len(s.events), func(k int) bool { return t.Before(s.opens[k]) })
+	lo := sort.Search(hi, func(k int) bool { return !t.After(s.reach[k]) })
 	var total float64
-	for _, e := range s.events {
+	for k := lo; k < hi; k++ {
+		e := &s.events[k]
 		switch {
 		case t.Before(e.Start.Add(-rampIn)) || t.After(e.End.Add(rampOut)):
 			continue
@@ -134,7 +165,7 @@ func Generate(start, end time.Time, cfg GeneratorConfig) (*Schedule, error) {
 		}
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].Start.Before(events[j].Start) })
-	return &Schedule{events: events}, nil
+	return newSchedule(events), nil
 }
 
 // NewSchedule builds a schedule from explicit events (copied and
@@ -144,7 +175,7 @@ func NewSchedule(events []Event) *Schedule {
 	out := make([]Event, len(events))
 	copy(out, events)
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return &Schedule{events: out}
+	return newSchedule(out)
 }
 
 // CameraConfig parameterizes the webcam occupancy observer.

@@ -66,12 +66,12 @@ func TestFridaySeminarExists(t *testing.T) {
 }
 
 func TestCountAtRamps(t *testing.T) {
-	s := &Schedule{events: []Event{{
+	s := NewSchedule([]Event{{
 		Start:     start.Add(10 * time.Hour),
 		End:       start.Add(11 * time.Hour),
 		Attendees: 60,
 		Kind:      "class",
-	}}}
+	}})
 	if got := s.CountAt(start.Add(9 * time.Hour)); got != 0 {
 		t.Errorf("an hour before: %d, want 0", got)
 	}

@@ -116,6 +116,40 @@ func (o Outage) Contains(t time.Time) bool {
 	return !t.Before(o.Start) && t.Before(o.End)
 }
 
+// outageSet is a union of outage windows kept as sorted, disjoint,
+// non-empty closed-open intervals, so membership is a binary search.
+// Overlapping and touching windows are merged; empty ones vanish.
+type outageSet []Outage
+
+func newOutageSet(outages []Outage) outageSet {
+	sorted := make([]Outage, 0, len(outages))
+	for _, o := range outages {
+		if o.Start.Before(o.End) {
+			sorted = append(sorted, o)
+		}
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start.Before(sorted[j].Start) })
+	var set outageSet
+	for _, o := range sorted {
+		if n := len(set); n > 0 && !set[n-1].End.Before(o.Start) {
+			if set[n-1].End.Before(o.End) {
+				set[n-1].End = o.End
+			}
+			continue
+		}
+		set = append(set, o)
+	}
+	return set
+}
+
+// contains reports whether t falls inside any window of the set.
+func (set outageSet) contains(t time.Time) bool {
+	// The first window that ends after t is the only one that can hold
+	// it: every earlier window ends at or before t.
+	k := sort.Search(len(set), func(k int) bool { return t.Before(set[k].End) })
+	return k < len(set) && !t.Before(set[k].Start)
+}
+
 // GenerateOutages builds a deterministic outage plan for [start, end):
 // nLong multi-day server failures (2-6 days) and nShort sub-day
 // glitches (1-10 hours). The paper's 98-day trace lost roughly a third
@@ -151,7 +185,7 @@ func minTime(a, b time.Time) time.Time {
 // arrive during an outage are lost (and counted: per-store via
 // Dropped, process-wide via auditherm_sensornet_dropped_total).
 type Store struct {
-	outages []Outage
+	outages outageSet
 	series  map[string]*timeseries.Series
 	order   []string
 	dropped int64
@@ -160,20 +194,13 @@ type Store struct {
 // NewStore returns a store that drops data during the given outages.
 func NewStore(outages []Outage) *Store {
 	return &Store{
-		outages: append([]Outage(nil), outages...),
+		outages: newOutageSet(outages),
 		series:  make(map[string]*timeseries.Series),
 	}
 }
 
 // InOutage reports whether the backend is down at t.
-func (s *Store) InOutage(t time.Time) bool {
-	for _, o := range s.outages {
-		if o.Contains(t) {
-			return true
-		}
-	}
-	return false
-}
+func (s *Store) InOutage(t time.Time) bool { return s.outages.contains(t) }
 
 // Ingest records a reading unless the backend is down.
 // It reports whether the reading was stored; drops are tallied on the
@@ -221,7 +248,7 @@ func (s *Store) Channels() []string {
 type Network struct {
 	nodes    []*Node
 	store    *Store
-	failures map[string][]Outage
+	failures []outageSet // per node, in node order
 }
 
 // NewNetwork returns a network over the given nodes and store.
@@ -239,7 +266,7 @@ func NewNetwork(nodes []*Node, store *Store) (*Network, error) {
 		}
 		seen[n.Name()] = true
 	}
-	return &Network{nodes: nodes, store: store, failures: make(map[string][]Outage)}, nil
+	return &Network{nodes: nodes, store: store, failures: make([]outageSet, len(nodes))}, nil
 }
 
 // SetNodeFailures marks windows during which the named node is dead
@@ -247,23 +274,13 @@ func NewNetwork(nodes []*Node, store *Store) (*Network, error) {
 // transmissions. The paper's trace loses days to exactly this kind of
 // per-sensor failure on top of backend outages.
 func (n *Network) SetNodeFailures(name string, failures []Outage) error {
-	for _, node := range n.nodes {
+	for i, node := range n.nodes {
 		if node.Name() == name {
-			n.failures[name] = append([]Outage(nil), failures...)
+			n.failures[i] = newOutageSet(failures)
 			return nil
 		}
 	}
 	return fmt.Errorf("sensornet: no node named %q", name)
-}
-
-// nodeDown reports whether the named node is inside a failure window.
-func (n *Network) nodeDown(name string, t time.Time) bool {
-	for _, o := range n.failures[name] {
-		if o.Contains(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // Sample reads every node at time t; truths must supply the true
@@ -273,7 +290,7 @@ func (n *Network) Sample(t time.Time, truths []float64) error {
 		return fmt.Errorf("sensornet: %d truths for %d nodes", len(truths), len(n.nodes))
 	}
 	for i, node := range n.nodes {
-		if n.nodeDown(node.Name(), t) {
+		if n.failures[i].contains(t) {
 			continue
 		}
 		if reading, ok := node.Read(truths[i]); ok {

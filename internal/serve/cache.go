@@ -2,6 +2,8 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -88,7 +90,9 @@ func newFlightGroup() *flightGroup {
 }
 
 // do runs fn once per key among concurrent callers. leader reports
-// whether this caller executed fn (followers reuse its result).
+// whether this caller executed fn (followers reuse its result). A panic
+// in fn becomes the error every caller gets, and the key is released
+// whatever fn does, so the next request for it computes afresh.
 func (g *flightGroup) do(key string, fn func() ([]byte, error)) (body []byte, leader bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
@@ -99,11 +103,32 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) (body []byte, le
 	c := &flightCall{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 
-	c.body, c.err = fn()
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
+	c.body, c.err = callRecovering(fn)
 	return c.body, true, c.err
+}
+
+// panicError is a panic recovered from a computation. Its message
+// carries only the panic value; Stack is for the server log.
+type panicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("serve: computation panicked: %v", e.Value) }
+
+// callRecovering runs fn and returns a panic in it as a *panicError.
+func callRecovering(fn func() ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			body, err = nil, &panicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
 }

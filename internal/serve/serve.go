@@ -32,6 +32,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -483,8 +484,13 @@ func (s *Server) handle(name string, parse parseFn) http.Handler {
 		if err != nil {
 			errorsTotal.Inc()
 			sp.SetError(err)
-			s.log.Error("request failed", slog.String("endpoint", name),
-				slog.String("run_id", runID), slog.String("error", err.Error()))
+			attrs := []any{slog.String("endpoint", name),
+				slog.String("run_id", runID), slog.String("error", err.Error())}
+			var pe *panicError
+			if errors.As(err, &pe) {
+				attrs = append(attrs, slog.String("stack", string(pe.Stack)))
+			}
+			s.log.Error("request failed", attrs...)
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}

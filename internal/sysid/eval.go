@@ -55,10 +55,12 @@ func Evaluate(m *Model, d Data, windows []timeseries.Segment, horizon int) (*Eva
 	if d.NumInputs() != m.NumInputs() {
 		return nil, fmt.Errorf("sysid: model has %d inputs, data %d", m.NumInputs(), d.NumInputs())
 	}
-	mask, err := d.ValidMask()
-	if err != nil {
+	// Validity is computed per window, over the steps it covers only;
+	// the empty range still rejects data without channels.
+	if _, err := d.validMaskRange(0, 0); err != nil {
 		return nil, err
 	}
+	n := d.Temps.Cols()
 	evaluationsTotal.Inc()
 	res := &EvalResult{
 		PerSensorRMS: make([]float64, p),
@@ -66,10 +68,14 @@ func Evaluate(m *Model, d Data, windows []timeseries.Segment, horizon int) (*Eva
 	}
 	need := int(m.Order) + 1 // steps consumed by initial conditions + 1 prediction
 	for _, w := range windows {
-		if w.Start < 0 || w.End > len(mask) || w.Start > w.End {
-			return nil, fmt.Errorf("sysid: window %+v outside %d-step data", w, len(mask))
+		if w.Start < 0 || w.End > n || w.Start > w.End {
+			return nil, fmt.Errorf("sysid: window %+v outside %d-step data", w, n)
 		}
-		run := longestRun(mask[w.Start:w.End])
+		mask, err := d.validMaskRange(w.Start, w.End)
+		if err != nil {
+			return nil, err
+		}
+		run := longestRun(mask)
 		if run.Len() < need {
 			continue
 		}
@@ -130,14 +136,19 @@ func PredictWindow(m *Model, d Data, w timeseries.Segment) (pred, meas *mat.Dens
 	if err := d.Validate(); err != nil {
 		return nil, nil, 0, err
 	}
-	mask, err := d.ValidMask()
+	// Validity is computed over the window's steps only; the empty
+	// range still rejects data without channels.
+	if _, err := d.validMaskRange(0, 0); err != nil {
+		return nil, nil, 0, err
+	}
+	if n := d.Temps.Cols(); w.Start < 0 || w.End > n || w.Start > w.End {
+		return nil, nil, 0, fmt.Errorf("sysid: window %+v outside %d-step data", w, n)
+	}
+	mask, err := d.validMaskRange(w.Start, w.End)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if w.Start < 0 || w.End > len(mask) || w.Start > w.End {
-		return nil, nil, 0, fmt.Errorf("sysid: window %+v outside %d-step data", w, len(mask))
-	}
-	run := longestRun(mask[w.Start:w.End])
+	run := longestRun(mask)
 	need := int(m.Order) + 1
 	if run.Len() < need {
 		return nil, nil, 0, fmt.Errorf("sysid: window %+v has no run of %d valid steps: %w", w, need, ErrInsufficientData)

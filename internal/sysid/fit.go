@@ -45,12 +45,19 @@ func (d Data) ValidMask() ([]bool, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	return d.validMaskRange(0, d.Temps.Cols())
+}
+
+// validMaskRange is ValidMask over steps [lo, hi) of validated data,
+// for callers that read a few windows of a long trace. Mask index k is
+// step lo+k.
+func (d Data) validMaskRange(lo, hi int) ([]bool, error) {
 	rows := make([][]float64, 0, d.Temps.Rows()+d.Inputs.Rows())
 	for i := 0; i < d.Temps.Rows(); i++ {
-		rows = append(rows, d.Temps.RawRow(i))
+		rows = append(rows, d.Temps.RawRow(i)[lo:hi])
 	}
 	for i := 0; i < d.Inputs.Rows(); i++ {
-		rows = append(rows, d.Inputs.RawRow(i))
+		rows = append(rows, d.Inputs.RawRow(i)[lo:hi])
 	}
 	return timeseries.ValidMask(rows)
 }
