@@ -54,10 +54,12 @@ test:
 
 # Run each native fuzz target for a short burst on top of its seed
 # corpus in testdata/fuzz/: the indexed occupancy CountAt and the
-# merged-interval outage lookup against their linear-scan references.
+# merged-interval outage lookup against their linear-scan references,
+# and the compiled building kernel against its per-node references.
 fuzz-smoke:
 	$(GO) test ./internal/occupancy -run '^$$' -fuzz '^FuzzCountAt$$' -fuzztime 10s
 	$(GO) test ./internal/sensornet -run '^$$' -fuzz '^FuzzInOutage$$' -fuzztime 10s
+	$(GO) test ./internal/building -run '^$$' -fuzz '^FuzzKernelRef$$' -fuzztime 10s
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

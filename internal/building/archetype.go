@@ -1,38 +1,6 @@
 package building
 
-import (
-	"fmt"
-	"time"
-)
-
-// Building is the common surface every thermal archetype presents to
-// the rest of the stack: step dynamics driven by Inputs, a floor-plan
-// temperature field probed at Points, and the well-mixed humidity and
-// CO2 states the sensor co-simulation samples. *Simulator (the
-// auditorium), *Office and *Residence all satisfy it.
-type Building interface {
-	// Step advances the model by dt under the given inputs.
-	Step(dt time.Duration, in Inputs) error
-	// TemperatureAt returns the air temperature at a floor-plan point.
-	TemperatureAt(p Point) float64
-	// TemperaturesAt evaluates TemperatureAt for every point in ps,
-	// writing into dst when it has matching length.
-	TemperaturesAt(ps []Point, dst []float64) []float64
-	// MeanTemp returns the average zone temperature (the return-air
-	// temperature seen by the plant).
-	MeanTemp() float64
-	// RelativeHumidityAt returns the relative humidity (percent) at a
-	// floor-plan point.
-	RelativeHumidityAt(p Point) float64
-	// CO2 returns the well-mixed CO2 concentration in ppm.
-	CO2() float64
-}
-
-var (
-	_ Building = (*Simulator)(nil)
-	_ Building = (*Office)(nil)
-	_ Building = (*Residence)(nil)
-)
+import "fmt"
 
 // Archetype names accepted by DefaultSpec and RandomSpec.
 const (
@@ -88,8 +56,8 @@ func DefaultSpec(archetype string) (Spec, error) {
 	}
 }
 
-// config returns the one config pointer that must be set, erroring on
-// missing or extraneous configs.
+// check reports a spec whose archetype is unknown, whose own config is
+// missing, or that carries another archetype's config.
 func (sp Spec) check() error {
 	type slot struct {
 		name string
@@ -133,8 +101,8 @@ func (sp Spec) Validate() error {
 	}
 }
 
-// New validates the spec and constructs its Building.
-func (sp Spec) New() (Building, error) {
+// New validates the spec and compiles its archetype into a Simulator.
+func (sp Spec) New() (*Simulator, error) {
 	if err := sp.check(); err != nil {
 		return nil, err
 	}
@@ -142,9 +110,9 @@ func (sp Spec) New() (Building, error) {
 	case ArchetypeAuditorium:
 		return NewSimulator(*sp.Auditorium)
 	case ArchetypeOffice:
-		return NewOffice(*sp.Office)
+		return newOffice(*sp.Office)
 	default:
-		return NewResidence(*sp.Residence)
+		return newResidence(*sp.Residence)
 	}
 }
 
@@ -199,47 +167,4 @@ func (sp Spec) Metadata() Metadata {
 	default:
 		return sp.Residence.Metadata()
 	}
-}
-
-// interpBilinear evaluates a row-major nx-by-ny zone-center field at a
-// floor-plan point by bilinear interpolation, clamped to the
-// zone-center lattice. depth/width is the floor-plan extent.
-func interpBilinear(temps []float64, nx, ny int, depth, width float64, p Point) float64 {
-	dx := depth / float64(nx)
-	dy := width / float64(ny)
-	fx := p.X/dx - 0.5
-	fy := p.Y/dy - 0.5
-	fx = minf(maxf(fx, 0), float64(nx-1))
-	fy = minf(maxf(fy, 0), float64(ny-1))
-	ix0 := int(fx)
-	iy0 := int(fy)
-	ix1 := ix0 + 1
-	iy1 := iy0 + 1
-	if ix1 > nx-1 {
-		ix1 = nx - 1
-	}
-	if iy1 > ny-1 {
-		iy1 = ny - 1
-	}
-	tx := fx - float64(ix0)
-	ty := fy - float64(iy0)
-	t00 := temps[ix0*ny+iy0]
-	t01 := temps[ix0*ny+iy1]
-	t10 := temps[ix1*ny+iy0]
-	t11 := temps[ix1*ny+iy1]
-	return (1-tx)*((1-ty)*t00+ty*t01) + tx*((1-ty)*t10+ty*t11)
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

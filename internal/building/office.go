@@ -157,265 +157,83 @@ func (c OfficeConfig) Metadata() Metadata {
 	}
 }
 
-// Office is the multi-zone office model. It satisfies Building.
-type Office struct {
-	cfg OfficeConfig
+// office is the multi-zone office as a network: a ZX×ZY zone grid
+// whose edges carry the identified per-edge conductances, with
+// perimeter envelope and per-zone roof losses to ambient and VAV supply
+// fanned into column bands.
+type office struct{ cfg OfficeConfig }
 
-	zx, zy  int
-	temps   []float64 // zone temperatures, row-major [ix*zy+iy]
-	scratch []float64
-
-	edgeUA  []float64 // per-edge conductance, W/K (X-edges then Y-edges)
-	envUA   []float64 // per-zone conductance to ambient, W/K
-	roofUA  float64   // per-zone roof conductance, W/K
-	zoneCap float64   // J/K per zone
-
-	airMass float64 // kg, actual room air mass
-	volume  float64 // m^3
-
-	zoneFlow []float64 // scratch: per-zone supply flow, kg/s
-	colFlow  []float64 // scratch: per-column supply flow, kg/s
-
-	humidity float64 // kg/kg, well mixed
-	co2      float64 // ppm, well mixed
-}
-
-// NewOffice validates cfg and returns an office at the initial
+// newOffice validates cfg and returns the office at the initial
 // uniform state.
-func NewOffice(cfg OfficeConfig) (*Office, error) {
+func newOffice(cfg OfficeConfig) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MaxStep <= 0 {
-		cfg.MaxStep = 10 * time.Second
-	}
-	n := cfg.ZX * cfg.ZY
-	o := &Office{
-		cfg:     cfg,
-		zx:      cfg.ZX,
-		zy:      cfg.ZY,
-		temps:   make([]float64, n),
-		scratch: make([]float64, n),
-		envUA:   make([]float64, n),
-		edgeUA:  make([]float64, cfg.NumEdges()),
-
-		zoneFlow: make([]float64, n),
-		colFlow:  make([]float64, cfg.ZY),
-	}
-	o.volume = cfg.Depth * cfg.Width * cfg.Height
-	o.airMass = o.volume * airDensity
-	o.zoneCap = o.airMass / float64(n) * cfg.ThermalMassFactor * airCp
-	o.roofUA = cfg.RoofUA / float64(n)
+	zx, zy, n := cfg.ZX, cfg.ZY, cfg.ZX*cfg.ZY
+	// One dynamic supply conductance per zone column.
+	s := newSimulator(&office{cfg}, zx, zy, cfg.Depth, cfg.Width, zy, srcFixed, 1)
+	s.air = newAir(cfg.Depth*cfg.Width*cfg.Height,
+		cfg.OccupantMoisture, cfg.SupplyHumidity, cfg.OccupantCO2, cfg.AmbientCO2)
+	s.cellCap = s.air.airMass / float64(n) * cfg.ThermalMassFactor * airCp
 
 	// The identified thermal network: base conductance times the
-	// per-edge scale (uniform when UAScale is nil).
-	for e := range o.edgeUA {
-		s := 1.0
+	// per-edge scale (uniform when UAScale is nil). Edges are numbered
+	// X-edges first, then Y-edges, each row-major.
+	edge := func(ix, iy, jx, jy int) int32 {
+		e := (zx-1)*zy + ix*(zy-1) + min(iy, jy)
+		if jx != ix {
+			e = min(ix, jx)*zy + iy
+		}
+		scale := 1.0
 		if len(cfg.UAScale) > 0 {
-			s = cfg.UAScale[e]
+			scale = cfg.UAScale[e]
 		}
-		o.edgeUA[e] = cfg.InterZoneUA * s
+		return s.fixed(cfg.InterZoneUA * scale)
 	}
-
-	perimeter := 0
-	for ix := 0; ix < o.zx; ix++ {
-		for iy := 0; iy < o.zy; iy++ {
-			if ix == 0 || ix == o.zx-1 || iy == 0 || iy == o.zy-1 {
-				perimeter++
-			}
+	env := perimeterShare(cfg.EnvelopeUA, zx, zy)
+	s.compile(edge, func(ix, iy int, c *cellClass) int32 {
+		if onPerimeter(ix, iy, zx, zy) {
+			s.fixedBoundary(c, env, srcAmbient)
 		}
-	}
-	for ix := 0; ix < o.zx; ix++ {
-		for iy := 0; iy < o.zy; iy++ {
-			if ix == 0 || ix == o.zx-1 || iy == 0 || iy == o.zy-1 {
-				o.envUA[ix*o.zy+iy] = cfg.EnvelopeUA / float64(perimeter)
-			}
-		}
-	}
-
-	for i := range o.temps {
-		o.temps[i] = cfg.InitialTemp
-	}
-	o.humidity = cfg.SupplyHumidity
-	o.co2 = cfg.AmbientCO2
-	return o, nil
+		s.fixedBoundary(c, cfg.RoofUA/float64(n), srcAmbient)
+		c.boundary(int32(iy), srcSupply)
+		return 0
+	})
+	s.start(cfg.InitialTemp, cfg.MaxStep)
+	return s, nil
 }
 
-// xEdge returns the edge index between (ix,iy) and (ix+1,iy).
-func (o *Office) xEdge(ix, iy int) int { return ix*o.zy + iy }
-
-// yEdge returns the edge index between (ix,iy) and (ix,iy+1).
-func (o *Office) yEdge(ix, iy int) int { return (o.zx-1)*o.zy + ix*(o.zy-1) + iy }
-
-// NumZones returns the zone count.
-func (o *Office) NumZones() int { return o.zx * o.zy }
-
-// Step advances the office by dt under the given inputs.
-func (o *Office) Step(dt time.Duration, in Inputs) error {
-	if dt <= 0 {
-		return fmt.Errorf("building: step dt %v must be positive", dt)
+// supply fans the VAV flows over the zone columns: each VAV serves a
+// contiguous band of Y columns, and a column's flow splits evenly over
+// its zones.
+func (o *office) supply(s *Simulator, _ float64, flows []float64) float64 {
+	zx, zy := o.cfg.ZX, o.cfg.ZY
+	col := s.cond[:zy]
+	for iy := range col {
+		col[iy] = 0
 	}
-	if in.Occupants < 0 {
-		return fmt.Errorf("building: negative occupant count %d", in.Occupants)
-	}
-	for _, f := range in.HVAC.Flows {
-		if f < 0 || math.IsNaN(f) {
-			return fmt.Errorf("building: invalid VAV flow %v", f)
+	var total float64
+	for i, f := range flows {
+		c := i * zy / len(flows)
+		if c >= zy {
+			c = zy - 1
 		}
+		col[c] += f
+		total += f
 	}
-	if math.IsNaN(in.Ambient) {
-		return fmt.Errorf("building: ambient temperature is NaN")
+	for iy, f := range col {
+		col[iy] = f / float64(zx) * airCp
 	}
-	total := dt.Seconds()
-	steps := int(math.Ceil(total / o.cfg.MaxStep.Seconds()))
-	if steps < 1 {
-		steps = 1
-	}
-	sub := total / float64(steps)
-	for k := 0; k < steps; k++ {
-		o.substep(sub, in)
-	}
-	stepsTotal.Inc()
-	cellsStepped.Add(int64(steps * len(o.temps)))
-	return nil
+	return total
 }
 
-// substep advances one internal step of sub seconds: every zone
-// relaxes toward the conductance-weighted equilibrium of its frozen
-// neighborhood (identical integrator to the auditorium).
-func (o *Office) substep(sub float64, in Inputs) {
-	cfg := &o.cfg
-	n := len(o.temps)
-
-	// Each VAV serves a contiguous band of Y columns; its flow splits
-	// evenly over the zones in the band.
-	var totalFlow float64
-	zoneFlow := o.zoneFlow
-	for i := range zoneFlow {
-		zoneFlow[i] = 0
-	}
-	if nf := len(in.HVAC.Flows); nf > 0 {
-		colFlow := o.colFlow
-		for i := range colFlow {
-			colFlow[i] = 0
-		}
-		for i, f := range in.HVAC.Flows {
-			col := i * o.zy / nf
-			if col >= o.zy {
-				col = o.zy - 1
-			}
-			colFlow[col] += f
-			totalFlow += f
-		}
-		for ix := 0; ix < o.zx; ix++ {
-			for iy := 0; iy < o.zy; iy++ {
-				zoneFlow[ix*o.zy+iy] = colFlow[iy] / float64(o.zx)
-			}
-		}
-	}
-
-	occHeat := float64(in.Occupants) * cfg.OccupantHeat / float64(n)
+// fill spreads occupant and lighting heat uniformly over all zones.
+func (o *office) fill(s *Simulator, _ float64, in Inputs) {
+	n := float64(len(s.temps))
+	occHeat := float64(in.Occupants) * o.cfg.OccupantHeat / n
 	var lightHeat float64
 	if in.LightsOn {
-		lightHeat = cfg.LightingPower / float64(n)
+		lightHeat = o.cfg.LightingPower / n
 	}
-
-	old := o.temps
-	next := o.scratch
-	for ix := 0; ix < o.zx; ix++ {
-		for iy := 0; iy < o.zy; iy++ {
-			i := ix*o.zy + iy
-			ti := old[i]
-			var g, gt float64
-			edge := func(j int, ua float64) {
-				g += ua
-				gt += ua * old[j]
-			}
-			if ix > 0 {
-				edge(i-o.zy, o.edgeUA[o.xEdge(ix-1, iy)])
-			}
-			if ix < o.zx-1 {
-				edge(i+o.zy, o.edgeUA[o.xEdge(ix, iy)])
-			}
-			if iy > 0 {
-				edge(i-1, o.edgeUA[o.yEdge(ix, iy-1)])
-			}
-			if iy < o.zy-1 {
-				edge(i+1, o.edgeUA[o.yEdge(ix, iy)])
-			}
-			if e := o.envUA[i]; e > 0 {
-				g += e
-				gt += e * in.Ambient
-			}
-			g += o.roofUA
-			gt += o.roofUA * in.Ambient
-
-			if f := zoneFlow[i]; f > 0 {
-				gs := f * airCp
-				g += gs
-				gt += gs * in.HVAC.SupplyTemp
-			}
-
-			load := occHeat + lightHeat
-			next[i] = relax(ti, g, gt, load, sub, o.zoneCap)
-		}
-	}
-	o.temps, o.scratch = next, old
-
-	if totalFlow > 0 || in.Occupants > 0 {
-		dw := (float64(in.Occupants)*cfg.OccupantMoisture +
-			totalFlow*(cfg.SupplyHumidity-o.humidity)) / o.airMass
-		o.humidity += sub * dw
-		if o.humidity < 0 {
-			o.humidity = 0
-		}
-	}
-	q := totalFlow / airDensity
-	dc := (float64(in.Occupants)*cfg.OccupantCO2*1e6 + q*(cfg.AmbientCO2-o.co2)) / o.volume
-	o.co2 += sub * dc
-	if o.co2 < cfg.AmbientCO2 {
-		o.co2 = cfg.AmbientCO2
-	}
+	s.load[0] = occHeat + lightHeat
 }
-
-// TemperatureAt returns the air temperature at a floor-plan point by
-// bilinear interpolation between zone centers.
-func (o *Office) TemperatureAt(p Point) float64 {
-	return interpBilinear(o.temps, o.zx, o.zy, o.cfg.Depth, o.cfg.Width, p)
-}
-
-// TemperaturesAt evaluates TemperatureAt for every point in ps.
-func (o *Office) TemperaturesAt(ps []Point, dst []float64) []float64 {
-	if len(dst) != len(ps) {
-		dst = make([]float64, len(ps))
-	}
-	for i, p := range ps {
-		dst[i] = o.TemperatureAt(p)
-	}
-	return dst
-}
-
-// MeanTemp returns the average zone temperature.
-func (o *Office) MeanTemp() float64 {
-	var sum float64
-	for _, t := range o.temps {
-		sum += t
-	}
-	return sum / float64(len(o.temps))
-}
-
-// RelativeHumidityAt returns the relative humidity (percent) at a point.
-func (o *Office) RelativeHumidityAt(p Point) float64 {
-	t := o.TemperatureAt(p)
-	rh := 100 * o.humidity / saturationRatio(t)
-	if rh < 0 {
-		return 0
-	}
-	if rh > 100 {
-		return 100
-	}
-	return rh
-}
-
-// CO2 returns the well-mixed CO2 concentration in ppm.
-func (o *Office) CO2() float64 { return o.co2 }

@@ -1,6 +1,7 @@
 package building
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -70,29 +71,46 @@ func TestSimulatorParallelDeterminism(t *testing.T) {
 	}
 }
 
-// BenchmarkSimulatorSubstep measures a parallel-scale grid at several
-// worker counts.
+// BenchmarkSimulatorSubstep measures one 10 s Step (one substep) of
+// each default archetype, then of the parallel-scale big grid at
+// several worker counts.
 func BenchmarkSimulatorSubstep(b *testing.B) {
+	in := Inputs{
+		HVAC:      hvac.State{Flows: []float64{0.3, 0.2, 0.25, 0.3}, SupplyTemp: 14},
+		Occupants: 60,
+		LightsOn:  true,
+		Ambient:   24,
+	}
+	run := func(b *testing.B, s *Simulator) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Step(10*time.Second, in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, name := range Archetypes() {
+		b.Run(name, func(b *testing.B) {
+			sp, err := DefaultSpec(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := sp.New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(b, s)
+		})
+	}
 	for _, w := range []int{1, 4, 8} {
-		b.Run(map[int]string{1: "workers=1", 4: "workers=4", 8: "workers=8"}[w], func(b *testing.B) {
+		b.Run(fmt.Sprintf("big/workers=%d", w), func(b *testing.B) {
 			prev := par.SetDefaultWorkers(w)
 			defer par.SetDefaultWorkers(prev)
 			s, err := NewSimulator(bigGridConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
-			in := Inputs{
-				HVAC:      hvac.State{Flows: []float64{0.3, 0.2, 0.25, 0.3}, SupplyTemp: 14},
-				Occupants: 60,
-				LightsOn:  true,
-				Ambient:   24,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Step(10*time.Second, in); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, s)
 		})
 	}
 }

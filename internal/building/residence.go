@@ -172,226 +172,86 @@ func (c ResidenceConfig) Metadata() Metadata {
 	}
 }
 
-// Residence is the lumped R/C dwelling model. It satisfies Building.
-type Residence struct {
-	cfg ResidenceConfig
-
-	depth, width float64
-	temps        []float64 // node temperatures, front to back
-	scratch      []float64
-
-	nodeCap   float64 // J/K per node
-	envUA     float64 // W/K to ambient per node
-	interUA   float64 // W/K between adjacent nodes
+// residence is the lumped R/C dwelling as a network: a Zones×1 chain
+// of nodes sharing the whole-house R and C, with solar gains through
+// the glazing on a diurnal half-sine.
+type residence struct {
+	cfg       ResidenceConfig
+	front     int     // nodes in the front (living) half
 	solarGain float64 // W total at peak irradiance
-
-	airMass float64 // kg
-	volume  float64 // m^3
-
-	humidity float64 // kg/kg, well mixed
-	co2      float64 // ppm, well mixed
-
-	elapsed float64 // seconds simulated (drives the solar diurnal phase)
 }
 
-// NewResidence validates cfg and returns a residence at the initial
+// newResidence validates cfg and returns the residence at the initial
 // uniform state.
-func NewResidence(cfg ResidenceConfig) (*Residence, error) {
+func newResidence(cfg ResidenceConfig) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MaxStep <= 0 {
-		cfg.MaxStep = 10 * time.Second
+	n := cfg.Zones
+	r := &residence{
+		cfg:   cfg,
+		front: (n + 1) / 2,
+		solarGain: cfg.WindowFrac * cfg.FloorArea * cfg.SolarPeak *
+			cfg.GlazingTransmittance * cfg.FrameFactor * cfg.SolarAccess,
 	}
-	r := &Residence{
-		cfg:     cfg,
-		temps:   make([]float64, cfg.Zones),
-		scratch: make([]float64, cfg.Zones),
-	}
-	r.depth, r.width = cfg.Dims()
-	r.volume = cfg.FloorArea * cfg.Height
-	r.airMass = r.volume * airDensity
-	// The whole-house R/C pair splits evenly over the node chain:
-	// R in K/kW means the envelope conductance is 1000/R W/K total,
-	// C in kJ/K means 1000*C J/K total.
-	r.nodeCap = cfg.C * 1000 / float64(cfg.Zones)
-	r.envUA = 1000 / cfg.R / float64(cfg.Zones)
-	r.interUA = cfg.InterZoneUA
-	r.solarGain = cfg.WindowFrac * cfg.FloorArea * cfg.SolarPeak *
-		cfg.GlazingTransmittance * cfg.FrameFactor * cfg.SolarAccess
-
-	for i := range r.temps {
-		r.temps[i] = cfg.InitialTemp
-	}
-	r.humidity = cfg.SupplyHumidity
-	r.co2 = cfg.AmbientCO2
-	return r, nil
-}
-
-// NumZones returns the node count.
-func (r *Residence) NumZones() int { return len(r.temps) }
-
-// solarShape is the diurnal irradiance profile: a half-sine between
-// 06:00 and 18:00 of the simulated day. Traces start at midnight, so
-// the phase is just elapsed time modulo 24 h.
-func (r *Residence) solarShape() float64 {
-	h := math.Mod(r.elapsed/3600, 24)
-	if h < 6 || h > 18 {
-		return 0
-	}
-	return math.Sin(math.Pi * (h - 6) / 12)
-}
-
-// Step advances the residence by dt under the given inputs.
-func (r *Residence) Step(dt time.Duration, in Inputs) error {
-	if dt <= 0 {
-		return fmt.Errorf("building: step dt %v must be positive", dt)
-	}
-	if in.Occupants < 0 {
-		return fmt.Errorf("building: negative occupant count %d", in.Occupants)
-	}
-	for _, f := range in.HVAC.Flows {
-		if f < 0 || math.IsNaN(f) {
-			return fmt.Errorf("building: invalid VAV flow %v", f)
+	// One dynamic supply conductance shared by every node; load group 0
+	// is the front half, 1 the back.
+	depth, width := cfg.Dims()
+	s := newSimulator(r, n, 1, depth, width, 1, srcFixed, 2)
+	s.air = newAir(cfg.FloorArea*cfg.Height,
+		cfg.OccupantMoisture, cfg.SupplyHumidity, cfg.OccupantCO2, cfg.AmbientCO2)
+	// The whole-house R/C pair splits evenly over the node chain: R in
+	// K/kW means the envelope conductance is 1000/R W/K total, C in
+	// kJ/K means 1000*C J/K total.
+	s.cellCap = cfg.C * 1000 / float64(n)
+	inter := s.fixed(cfg.InterZoneUA)
+	env := 1000 / cfg.R / float64(n)
+	s.compile(func(_, _, _, _ int) int32 { return inter }, func(ix, _ int, c *cellClass) int32 {
+		s.fixedBoundary(c, env, srcAmbient)
+		c.boundary(0, srcSupply)
+		if ix < r.front {
+			return 0
 		}
-	}
-	if math.IsNaN(in.Ambient) {
-		return fmt.Errorf("building: ambient temperature is NaN")
-	}
-	total := dt.Seconds()
-	steps := int(math.Ceil(total / r.cfg.MaxStep.Seconds()))
-	if steps < 1 {
-		steps = 1
-	}
-	sub := total / float64(steps)
-	for k := 0; k < steps; k++ {
-		r.substep(sub, in)
-	}
-	stepsTotal.Inc()
-	cellsStepped.Add(int64(steps * len(r.temps)))
-	return nil
+		return 1
+	})
+	s.start(cfg.InitialTemp, cfg.MaxStep)
+	return s, nil
 }
 
-// substep advances one internal step of sub seconds.
-func (r *Residence) substep(sub float64, in Inputs) {
-	cfg := &r.cfg
-	n := len(r.temps)
-	front := (n + 1) / 2 // living-half node count
-
-	var totalFlow float64
-	for _, f := range in.HVAC.Flows {
-		totalFlow += f
+// supply splits the total VAV flow evenly over the nodes.
+func (r *residence) supply(s *Simulator, _ float64, flows []float64) float64 {
+	var total float64
+	for _, f := range flows {
+		total += f
 	}
-	nodeFlow := totalFlow / float64(n)
+	s.cond[0] = total / float64(len(s.temps)) * airCp
+	return total
+}
 
-	// Solar lands mostly on the front (south-glazed) half; occupants
-	// and lights live there too. The asymmetry is what keeps the node
-	// chain from collapsing to one effective state.
-	solar := r.solarGain * r.solarShape()
+// fill writes the front and back loads. Solar lands mostly on the
+// front (south-glazed) half; occupants and lights live there too. The
+// asymmetry is what keeps the node chain from collapsing to one
+// effective state.
+func (r *residence) fill(s *Simulator, _ float64, in Inputs) {
+	cfg := &r.cfg
+	n, front := len(s.temps), r.front
+	solar := r.solarGain * solarShape(s.elapsed)
 	occHeat := float64(in.Occupants) * cfg.OccupantHeat / float64(front)
 	var lightHeat float64
 	if in.LightsOn {
 		lightHeat = cfg.LightingPower / float64(front)
 	}
-
-	old := r.temps
-	next := r.scratch
-	for i := 0; i < n; i++ {
-		ti := old[i]
-		var g, gt float64
-		if i > 0 {
-			g += r.interUA
-			gt += r.interUA * old[i-1]
-		}
-		if i < n-1 {
-			g += r.interUA
-			gt += r.interUA * old[i+1]
-		}
-		g += r.envUA
-		gt += r.envUA * in.Ambient
-		if nodeFlow > 0 {
-			gs := nodeFlow * airCp
-			g += gs
-			gt += gs * in.HVAC.SupplyTemp
-		}
-
-		var load float64
-		if i < front {
-			load = occHeat + lightHeat + solar*0.7/float64(front)
-		} else {
-			load = solar * 0.3 / float64(n-front)
-		}
-		next[i] = relax(ti, g, gt, load, sub, r.nodeCap)
-	}
-	r.temps, r.scratch = next, old
-
-	if totalFlow > 0 || in.Occupants > 0 {
-		dw := (float64(in.Occupants)*cfg.OccupantMoisture +
-			totalFlow*(cfg.SupplyHumidity-r.humidity)) / r.airMass
-		r.humidity += sub * dw
-		if r.humidity < 0 {
-			r.humidity = 0
-		}
-	}
-	q := totalFlow / airDensity
-	dc := (float64(in.Occupants)*cfg.OccupantCO2*1e6 + q*(cfg.AmbientCO2-r.co2)) / r.volume
-	r.co2 += sub * dc
-	if r.co2 < cfg.AmbientCO2 {
-		r.co2 = cfg.AmbientCO2
-	}
-
-	r.elapsed += sub
+	s.load[0] = occHeat + lightHeat + solar*0.7/float64(front)
+	s.load[1] = solar * 0.3 / float64(n-front)
 }
 
-// TemperatureAt returns the air temperature at a floor-plan point by
-// linear interpolation along the node chain (the Y coordinate is
-// ignored: each node spans the full width).
-func (r *Residence) TemperatureAt(p Point) float64 {
-	n := len(r.temps)
-	dx := r.depth / float64(n)
-	fx := p.X/dx - 0.5
-	fx = minf(maxf(fx, 0), float64(n-1))
-	i0 := int(fx)
-	i1 := i0 + 1
-	if i1 > n-1 {
-		i1 = n - 1
-	}
-	tx := fx - float64(i0)
-	return (1-tx)*r.temps[i0] + tx*r.temps[i1]
-}
-
-// TemperaturesAt evaluates TemperatureAt for every point in ps.
-func (r *Residence) TemperaturesAt(ps []Point, dst []float64) []float64 {
-	if len(dst) != len(ps) {
-		dst = make([]float64, len(ps))
-	}
-	for i, p := range ps {
-		dst[i] = r.TemperatureAt(p)
-	}
-	return dst
-}
-
-// MeanTemp returns the average node temperature.
-func (r *Residence) MeanTemp() float64 {
-	var sum float64
-	for _, t := range r.temps {
-		sum += t
-	}
-	return sum / float64(len(r.temps))
-}
-
-// RelativeHumidityAt returns the relative humidity (percent) at a point.
-func (r *Residence) RelativeHumidityAt(p Point) float64 {
-	t := r.TemperatureAt(p)
-	rh := 100 * r.humidity / saturationRatio(t)
-	if rh < 0 {
+// solarShape is the diurnal irradiance profile after elapsed simulated
+// seconds: a half-sine between 06:00 and 18:00. Traces start at
+// midnight, so the phase is just elapsed time modulo 24 h.
+func solarShape(elapsed float64) float64 {
+	h := math.Mod(elapsed/3600, 24)
+	if h < 6 || h > 18 {
 		return 0
 	}
-	if rh > 100 {
-		return 100
-	}
-	return rh
+	return math.Sin(math.Pi * (h - 6) / 12)
 }
-
-// CO2 returns the well-mixed CO2 concentration in ppm.
-func (r *Residence) CO2() float64 { return r.co2 }

@@ -15,131 +15,19 @@ const (
 	airCp      = hvac.AirCp
 )
 
-// simParCells gates the row-parallel cell update in substep: grids with
-// fewer cells (including the paper's 10x6 default) stay on the serial
+// simParCells gates the row-parallel node update in substep: grids with
+// fewer nodes (including the paper's 10x6 default) stay on the serial
 // path, where parallel dispatch would cost more than the physics.
 const simParCells = 2048
 
-// Config parameterizes the zonal simulator. The defaults reproduce the
-// paper's room; every field is physical, so alternative buildings are a
-// matter of retuning rather than re-coding.
-type Config struct {
-	// NX, NY is the zone grid resolution (front-to-back x side-to-side).
-	NX, NY int
-	// Height is the ceiling height in meters.
-	Height float64
-	// ThermalMassFactor scales the air mass to an effective thermal
-	// mass including furniture, finishes and the bounding slab layer.
-	ThermalMassFactor float64
-	// MixingUA is the inter-cell mixing conductance between adjacent
-	// cells in W/K (bulk air exchange driven by diffusers and buoyancy).
-	MixingUA float64
-	// MixDriftPerDay is the fractional daily growth of MixingUA: the
-	// seasonal non-stationarity that makes very long training horizons
-	// over-fit (paper Fig. 5). 0.005 is +0.5%/day compounded.
-	MixDriftPerDay float64
-	// EnvelopeUA is the total conductance to ambient air in W/K,
-	// distributed over the perimeter cells (the room is a basement, so
-	// this is small: light wells, doors and the above-grade wall strip).
-	EnvelopeUA float64
-	// GroundUA is the total conductance to the surrounding earth in
-	// W/K, distributed over all cells.
-	GroundUA float64
-	// GroundTemp is the slab/earth temperature in degC at simulation
-	// start.
-	GroundTemp float64
-	// GroundTempDriftPerDay is the seasonal slab warming in degC/day
-	// (the basement slab follows the season with a long lag). Together
-	// with MixDriftPerDay this is the non-stationarity that makes very
-	// long training horizons over-fit (paper Fig. 5).
-	GroundTempDriftPerDay float64
-	// OccupantHeat is the sensible heat per person in W.
-	OccupantHeat float64
-	// SeatStartX is the front-to-back coordinate where seating begins;
-	// occupant heat lands uniformly on cells behind it.
-	SeatStartX float64
-	// SeatMixBoost multiplies the mixing conductance between two
-	// seating cells: occupant plumes and the ceiling diffusers churn
-	// the seating block into a near-uniform zone, while the front
-	// (stage/outlet) cells keep their own microclimate. Must be >= 1
-	// (Validate rejects smaller values).
-	SeatMixBoost float64
-	// StageMixFactor multiplies the mixing conductance on edges that
-	// cross the stage/seating boundary. The supply jets wash the stage
-	// and short-circuit toward the front returns, so the stage
-	// microclimate couples only weakly into the seating block; this is
-	// what makes the front sensor column track the supply plenum while
-	// the seats track the occupant load (the correlation structure
-	// behind the paper's Fig. 6 clusters). Must be in (0, 1]
-	// (Validate rejects anything else).
-	StageMixFactor float64
-	// LightingPower is the total lighting heat in W when lights are on.
-	LightingPower float64
-	// TurbulencePower is the amplitude (W, total over the room) of the
-	// deterministic thermal oscillation modeling diffuser turbulence
-	// and buoyancy plumes: a real room never sits perfectly still,
-	// which is what keeps report-on-change sensors chatting. Zero
-	// disables it.
-	TurbulencePower float64
-	// TurbulencePeriod is the oscillation period; zero selects 37
-	// minutes (incommensurate with the sampling grids).
-	TurbulencePeriod time.Duration
-	// NumOutlets is the number of supply outlets on the front wall (the
-	// paper's room has 2, fed by 4 VAVs).
-	NumOutlets int
-	// PlenumMass is the air-equivalent mass of each outlet's supply
-	// mixing node in kg. Supply air reaches the room only through this
-	// first-order lag, which is what makes the measured response
-	// greater than first order.
-	PlenumMass float64
-	// InitialTemp is the uniform starting temperature in degC.
-	InitialTemp float64
-	// OccupantMoisture is the latent moisture release per person in
-	// kg/s.
-	OccupantMoisture float64
-	// SupplyHumidity is the supply-air humidity ratio in kg/kg.
-	SupplyHumidity float64
-	// OccupantCO2 is the CO2 generation per person in m^3/s.
-	OccupantCO2 float64
-	// AmbientCO2 is the outdoor CO2 concentration in ppm.
-	AmbientCO2 float64
-	// MaxStep caps the internal integration substep; Step subdivides
-	// larger dt values so physics fidelity does not depend on the
-	// caller's stepping.
-	MaxStep time.Duration
-}
-
-// DefaultConfig returns the tuned auditorium: ~90 seats, 20x15x3.5 m,
-// 2 front outlets fed by 4 VAVs.
-func DefaultConfig() Config {
-	return Config{
-		NX:                    10,
-		NY:                    6,
-		Height:                3.5,
-		ThermalMassFactor:     3.5,
-		MixingUA:              1200,
-		MixDriftPerDay:        0.005,
-		EnvelopeUA:            50,
-		GroundUA:              90,
-		GroundTemp:            16,
-		GroundTempDriftPerDay: 0.012,
-		OccupantHeat:          90,
-		SeatStartX:            4,
-		SeatMixBoost:          3,
-		StageMixFactor:        0.2,
-		TurbulencePower:       5000,
-		TurbulencePeriod:      37 * time.Minute,
-		LightingPower:         1200,
-		NumOutlets:            2,
-		PlenumMass:            135,
-		InitialTemp:           20,
-		OccupantMoisture:      1.5e-5,
-		SupplyHumidity:        0.008,
-		OccupantCO2:           5.2e-6,
-		AmbientCO2:            420,
-		MaxStep:               10 * time.Second,
-	}
-}
+// Source-temperature slots every archetype shares; the kernel writes
+// them at the start of each Step. An archetype's own sources (ground,
+// supply plenums) follow from srcFixed.
+const (
+	srcAmbient = iota // outdoor air
+	srcSupply         // raw supply air
+	srcFixed
+)
 
 // Inputs drives one simulation step.
 type Inputs struct {
@@ -153,139 +41,196 @@ type Inputs struct {
 	Ambient float64
 }
 
-// Simulator is the zonal auditorium model. It is advanced by Step and
-// probed with TemperatureAt / RelativeHumidityAt / CO2.
+// Simulator is one building archetype compiled onto a rectangular grid
+// of well-mixed air nodes: the auditorium is its NX×NY cell grid, the
+// office its ZX×ZY zones, the residence a Zones×1 chain. Each node
+// exchanges heat with its grid neighbours and with boundary sources
+// (ambient, ground, supply air) through conductances, and the whole
+// volume shares one moisture and CO2 balance. It is advanced by Step
+// and probed with TemperatureAt / RelativeHumidityAt / CO2.
 type Simulator struct {
-	cfg Config
+	net network // the archetype's supply split and per-substep fill
 
-	nx, ny  int
-	temps   []float64 // cell temperatures, row-major [ix*ny+iy]
-	scratch []float64
-	outlet  []float64 // per-outlet plenum temperatures
-
-	// Static per-cell parameters.
-	cellCap   float64   // J/K per cell
-	envUA     []float64 // W/K to ambient per cell
-	groundUA  float64   // W/K to ground per cell
-	seatCells []int     // indices receiving occupant heat
-	seatMask  []bool    // per-cell seating membership
-	outletOf  []int     // supply outlet feeding each front cell (-1: none)
+	nx, ny       int
+	depth, width float64   // floor-plan extent in meters (X, Y)
+	temps        []float64 // node temperatures, row-major [ix*ny+iy]
+	scratch      []float64
+	cellCap      float64 // J/K per node
+	maxStep      float64 // substep cap in seconds
 
 	// Compiled conductance classes (see cellClass): classOf maps each
-	// cell to its class, whose per-substep coefficients substep fills
-	// in once before the cell sweep.
+	// node to its class, whose per-substep coefficients substep fills
+	// in once before the node sweep.
 	classes []cellClass
 	classOf []int32
 
-	// Per-Step supply state: the per-VAV flows summed into per-outlet
-	// totals, each outlet's plenum mixing fraction and its conductance
-	// into one front cell. Flows are constant over a Step's substeps.
-	flows          []float64
-	plenumAlpha    []float64
-	frontPerOutlet []int
-	supplyG        []float64
-	totalFlow      float64
-	logDrift       float64 // log1p(MixDriftPerDay), cached for driftFactor
+	// Slot tables the classes read: conductances in W/K, source
+	// temperatures in degC and group loads in W. cond[:dynamic] are
+	// rewritten by the archetype every Step or substep; cond[dynamic:]
+	// are compile-time constants.
+	cond    []float64
+	dynamic int
+	src     []float64
+	load    []float64
 
-	airMass float64 // kg, actual (unscaled) room air mass
-	volume  float64 // m^3
-
-	humidity float64 // kg/kg, well mixed
-	co2      float64 // ppm, well mixed
-
-	elapsed float64 // seconds simulated so far (drives seasonal drift)
+	air       wellMixed
+	totalFlow float64 // supply mass flow in kg/s, constant over a Step
+	elapsed   float64 // seconds simulated so far (drift, solar phase)
 }
 
-// NewSimulator validates cfg and returns a simulator at the initial
-// uniform state.
-func NewSimulator(cfg Config) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.MaxStep <= 0 {
-		cfg.MaxStep = 10 * time.Second
-	}
+// network is an archetype's part of a compiled Simulator: it writes
+// the dynamic slots its classes read.
+type network interface {
+	// supply writes the Step-constant supply state for the per-VAV
+	// flows (kg/s) and returns the total supply flow.
+	supply(s *Simulator, sub float64, flows []float64) float64
+	// fill writes the per-substep conductances, source temperatures and
+	// group loads.
+	fill(s *Simulator, sub float64, in Inputs)
+}
 
-	n := cfg.NX * cfg.NY
-	s := &Simulator{
-		cfg:     cfg,
-		nx:      cfg.NX,
-		ny:      cfg.NY,
-		temps:   make([]float64, n),
-		scratch: make([]float64, n),
-		outlet:  make([]float64, cfg.NumOutlets),
-		envUA:   make([]float64, n),
-	}
-	s.volume = RoomDepth * RoomWidth * cfg.Height
-	s.airMass = s.volume * airDensity
-	cellMass := s.airMass / float64(n) * cfg.ThermalMassFactor
-	s.cellCap = cellMass * airCp
-	s.groundUA = cfg.GroundUA / float64(n)
+// cellClass is one conductance class: nodes whose neighbour edges have
+// the same offsets and conductance slots in edge order (x−1, x+1, y−1,
+// y+1), the same boundary terms in order and the same load group.
+// Every node of a class sums the same terms into g in the same order,
+// so they share g bit-for-bit, and with it exp(-sub*g/cap) and the
+// heat load: substep computes those once per class instead of once per
+// node.
+type cellClass struct {
+	nEdge  int
+	off    [4]int   // neighbour index offsets in edge order
+	edge   [4]int32 // conductance slot of each edge
+	nBound int
+	bound  [3]int32 // conductance slot of each boundary term
+	src    [3]int32 // source-temperature slot of each boundary term
+	group  int32    // load group
 
-	// Perimeter cells share the envelope conductance equally.
-	perimeter := 0
-	for ix := 0; ix < s.nx; ix++ {
-		for iy := 0; iy < s.ny; iy++ {
-			if ix == 0 || ix == s.nx-1 || iy == 0 || iy == s.ny-1 {
-				perimeter++
+	// Per-substep coefficients, written before the node sweep and only
+	// read during it: each edge's conductance, each boundary term's
+	// conductance times its source temperature, the total conductance
+	// g, exp(-sub*g/cap) and the heat load.
+	m              [4]float64
+	bt             [3]float64
+	g, decay, load float64
+}
+
+// boundary appends a boundary term: conductance slot g fed by source
+// slot src.
+func (c *cellClass) boundary(g, src int32) {
+	c.bound[c.nBound] = g
+	c.src[c.nBound] = src
+	c.nBound++
+}
+
+// newSimulator returns an empty nx×ny grid for net with its dynamic
+// conductance, source and load-group slots allocated. The archetype's
+// constructor then sets the capacities and air, compiles the classes
+// and calls start.
+func newSimulator(net network, nx, ny int, depth, width float64, dynamic, sources, groups int) *Simulator {
+	return &Simulator{
+		net: net, nx: nx, ny: ny, depth: depth, width: width,
+		cond: make([]float64, dynamic), dynamic: dynamic,
+		src:  make([]float64, sources),
+		load: make([]float64, groups),
+	}
+}
+
+// fixed interns a compile-time conductance and returns its slot.
+func (s *Simulator) fixed(g float64) int32 {
+	for k := s.dynamic; k < len(s.cond); k++ {
+		if math.Float64bits(s.cond[k]) == math.Float64bits(g) {
+			return int32(k)
+		}
+	}
+	s.cond = append(s.cond, g)
+	return int32(len(s.cond) - 1)
+}
+
+// fixedBoundary appends a compile-time boundary conductance g fed by
+// source slot src. A zero conductance compiles to no term at all:
+// Step admits only finite inputs, so its 0*source addend is a signed
+// zero, which never changes a sum that starts at +0.
+func (s *Simulator) fixedBoundary(c *cellClass, g float64, src int32) {
+	if g > 0 {
+		c.boundary(s.fixed(g), src)
+	}
+}
+
+// compile groups the grid's nodes into conductance classes. edge
+// returns the conductance slot of the edge from node (ix, iy) to its
+// neighbour (jx, jy); node appends the node's boundary terms in
+// summation order and returns its load group.
+func (s *Simulator) compile(edge func(ix, iy, jx, jy int) int32, node func(ix, iy int, c *cellClass) int32) {
+	nx, ny := s.nx, s.ny
+	s.classOf = make([]int32, nx*ny)
+	index := make(map[cellClass]int32)
+	for ix := 0; ix < nx; ix++ {
+		for iy := 0; iy < ny; iy++ {
+			var c cellClass
+			link := func(jx, jy int) {
+				c.off[c.nEdge] = (jx-ix)*ny + jy - iy
+				c.edge[c.nEdge] = edge(ix, iy, jx, jy)
+				c.nEdge++
 			}
-		}
-	}
-	for ix := 0; ix < s.nx; ix++ {
-		for iy := 0; iy < s.ny; iy++ {
-			if ix == 0 || ix == s.nx-1 || iy == 0 || iy == s.ny-1 {
-				s.envUA[ix*s.ny+iy] = cfg.EnvelopeUA / float64(perimeter)
+			if ix > 0 {
+				link(ix-1, iy)
 			}
+			if ix < nx-1 {
+				link(ix+1, iy)
+			}
+			if iy > 0 {
+				link(ix, iy-1)
+			}
+			if iy < ny-1 {
+				link(ix, iy+1)
+			}
+			c.group = node(ix, iy, &c)
+			id, ok := index[c]
+			if !ok {
+				id = int32(len(s.classes))
+				index[c] = id
+				s.classes = append(s.classes, c)
+			}
+			s.classOf[ix*ny+iy] = id
 		}
 	}
+}
 
-	// Seating cells: centers behind SeatStartX.
-	dx := RoomDepth / float64(s.nx)
-	s.seatMask = make([]bool, n)
-	for ix := 0; ix < s.nx; ix++ {
-		cx := (float64(ix) + 0.5) * dx
-		if cx < cfg.SeatStartX {
-			continue
-		}
-		for iy := 0; iy < s.ny; iy++ {
-			s.seatCells = append(s.seatCells, ix*s.ny+iy)
-			s.seatMask[ix*s.ny+iy] = true
-		}
+// start puts the compiled grid at a uniform initial temperature with
+// the substep cap maxStep (zero selects 10 s).
+func (s *Simulator) start(initial float64, maxStep time.Duration) {
+	if maxStep <= 0 {
+		maxStep = 10 * time.Second
 	}
-	// Front cells (ix == 0) are fed by the outlet covering their Y band.
-	s.outletOf = make([]int, s.ny)
-	for iy := 0; iy < s.ny; iy++ {
-		s.outletOf[iy] = iy * cfg.NumOutlets / s.ny
-	}
-
-	s.frontPerOutlet = make([]int, cfg.NumOutlets)
-	for iy := 0; iy < s.ny; iy++ {
-		s.frontPerOutlet[s.outletOf[iy]]++
-	}
-	s.flows = make([]float64, cfg.NumOutlets)
-	s.plenumAlpha = make([]float64, cfg.NumOutlets)
-	s.supplyG = make([]float64, cfg.NumOutlets)
-	s.logDrift = math.Log1p(cfg.MixDriftPerDay)
-	s.compileClasses()
-
+	s.maxStep = maxStep.Seconds()
+	s.temps = make([]float64, s.nx*s.ny)
+	s.scratch = make([]float64, len(s.temps))
 	for i := range s.temps {
-		s.temps[i] = cfg.InitialTemp
+		s.temps[i] = initial
 	}
-	for o := range s.outlet {
-		s.outlet[o] = cfg.InitialTemp
-	}
-	s.humidity = cfg.SupplyHumidity
-	s.co2 = cfg.AmbientCO2
-	return s, nil
 }
 
-// NumCells returns the zone cell count.
+// onPerimeter reports whether node (ix, iy) of an nx×ny grid lies on
+// the outer wall.
+func onPerimeter(ix, iy, nx, ny int) bool {
+	return ix == 0 || ix == nx-1 || iy == 0 || iy == ny-1
+}
+
+// perimeterShare splits a total envelope conductance equally over the
+// perimeter nodes of an nx×ny grid.
+func perimeterShare(total float64, nx, ny int) float64 {
+	interior := max(nx-2, 0) * max(ny-2, 0)
+	return total / float64(nx*ny-interior)
+}
+
+// NumCells returns the grid node count.
 func (s *Simulator) NumCells() int { return s.nx * s.ny }
 
-// Step advances the room by dt under the given inputs. dt is split
-// into substeps no longer than Config.MaxStep, so results have the
-// same fidelity whatever the caller's stepping.
-func (s *Simulator) Step(dt time.Duration, in Inputs) error {
+// checkInputs rejects a non-positive dt and every input that is not a
+// finite physical value: a negative occupant count, a negative or
+// non-finite VAV flow, a non-finite ambient or supply temperature.
+func checkInputs(dt time.Duration, in Inputs) error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	if dt <= 0 {
 		return fmt.Errorf("building: step dt %v must be positive", dt)
 	}
@@ -293,20 +238,35 @@ func (s *Simulator) Step(dt time.Duration, in Inputs) error {
 		return fmt.Errorf("building: negative occupant count %d", in.Occupants)
 	}
 	for _, f := range in.HVAC.Flows {
-		if f < 0 || math.IsNaN(f) {
+		if f < 0 || !finite(f) {
 			return fmt.Errorf("building: invalid VAV flow %v", f)
 		}
 	}
-	if math.IsNaN(in.Ambient) {
-		return fmt.Errorf("building: ambient temperature is NaN")
+	if !finite(in.Ambient) {
+		return fmt.Errorf("building: ambient temperature %v is not finite", in.Ambient)
+	}
+	if !finite(in.HVAC.SupplyTemp) {
+		return fmt.Errorf("building: supply temperature %v is not finite", in.HVAC.SupplyTemp)
+	}
+	return nil
+}
+
+// Step advances the building by dt under the given inputs. dt is split
+// into substeps no longer than the archetype's MaxStep, so results
+// have the same fidelity whatever the caller's stepping.
+func (s *Simulator) Step(dt time.Duration, in Inputs) error {
+	if err := checkInputs(dt, in); err != nil {
+		return err
 	}
 	total := dt.Seconds()
-	steps := int(math.Ceil(total / s.cfg.MaxStep.Seconds()))
+	steps := int(math.Ceil(total / s.maxStep))
 	if steps < 1 {
 		steps = 1
 	}
 	sub := total / float64(steps)
-	s.setSupply(sub, in.HVAC.Flows)
+	s.totalFlow = s.net.supply(s, sub, in.HVAC.Flows)
+	s.src[srcAmbient] = in.Ambient
+	s.src[srcSupply] = in.HVAC.SupplyTemp
 	for k := 0; k < steps; k++ {
 		s.substep(sub, in)
 	}
@@ -315,273 +275,75 @@ func (s *Simulator) Step(dt time.Duration, in Inputs) error {
 	return nil
 }
 
-// Edge kinds of the inter-cell mixing conductance: an edge between two
-// seating cells carries the boosted mixing conductance
-// (occupant-churned zone); an edge crossing the stage/seating boundary
-// carries the attenuated one (the supply jets short-circuit to the
-// stage returns, so the stage microclimate couples only weakly into
-// the seats); any other edge carries the plain one.
-const (
-	edgePlain = iota
-	edgeBoost
-	edgeStage
-)
-
-// cellClass is one conductance class: cells whose neighbour edges have
-// the same offsets and kinds in edge order, with the same envelope
-// share, front outlet, seating membership and oscillation half. Every
-// cell of a class sums the same terms into g in the same order, so they
-// share g bit-for-bit, and with it exp(-sub*g/cap) and the heat load:
-// substep computes those once per class instead of once per cell.
-type cellClass struct {
-	nEdge  int
-	off    [4]int   // neighbour index offsets in edge order (x-1, x+1, y-1, y+1)
-	kind   [4]uint8 // edge kinds, parallel to off
-	env    float64  // envelope conductance share (0: interior cell)
-	outlet int      // supply outlet feeding the cell (-1: not a front cell)
-	seat   bool     // receives occupant heat
-	back   bool     // in the return-plume half of the oscillation
-
-	// Per-substep coefficients, written before the cell sweep and only
-	// read during it: each edge's mixing conductance, the total
-	// conductance g, exp(-sub*g/cap) and the heat load.
-	m              [4]float64
-	g, decay, load float64
-}
-
-// compileClasses groups the cells into conductance classes.
-func (s *Simulator) compileClasses() {
-	nx, ny := s.nx, s.ny
-	s.classOf = make([]int32, nx*ny)
-	index := make(map[cellClass]int32)
-	for ix := 0; ix < nx; ix++ {
-		for iy := 0; iy < ny; iy++ {
-			i := ix*ny + iy
-			c := cellClass{
-				env:    s.envUA[i],
-				outlet: -1,
-				seat:   s.seatMask[i],
-				back:   5*ix >= 2*nx,
-			}
-			edge := func(off int) {
-				k := uint8(edgePlain)
-				if seatJ := s.seatMask[i+off]; c.seat != seatJ {
-					k = edgeStage
-				} else if c.seat {
-					k = edgeBoost
-				}
-				c.off[c.nEdge] = off
-				c.kind[c.nEdge] = k
-				c.nEdge++
-			}
-			if ix > 0 {
-				edge(-ny)
-			}
-			if ix < nx-1 {
-				edge(ny)
-			}
-			if iy > 0 {
-				edge(-1)
-			}
-			if iy < ny-1 {
-				edge(1)
-			}
-			if !(c.env > 0) {
-				c.env = 0 // no envelope term (keeps NaN out of the class key)
-			}
-			if ix == 0 {
-				c.outlet = s.outletOf[iy]
-			}
-			id, ok := index[c]
-			if !ok {
-				id = int32(len(s.classes))
-				index[c] = id
-				s.classes = append(s.classes, c)
-			}
-			s.classOf[i] = id
-		}
-	}
-}
-
-// setSupply derives the Step-constant supply state: per-outlet flow
-// totals (kg/s) from the per-VAV flows, each outlet's plenum mixing
-// fraction over one substep, its front-cell supply conductance and the
-// total flow.
-func (s *Simulator) setSupply(sub float64, vavFlows []float64) {
-	nOut := s.cfg.NumOutlets
-	for o := range s.flows {
-		s.flows[o] = 0
-	}
-	for i, f := range vavFlows {
-		o := i * nOut / len(vavFlows)
-		if o >= nOut {
-			o = nOut - 1
-		}
-		s.flows[o] += f
-	}
-	s.totalFlow = 0
-	for o, f := range s.flows {
-		s.totalFlow += f
-		s.plenumAlpha[o] = 1 - math.Exp(-sub*f/s.cfg.PlenumMass)
-		// Each outlet's flow splits over the front cells in its band.
-		s.supplyG[o] = f * airCp / float64(s.frontPerOutlet[o])
-	}
-}
-
 // substep advances one internal step of sub seconds. Step has already
-// set the supply state for in.HVAC.Flows.
+// written the Step-constant supply state and shared sources.
 func (s *Simulator) substep(sub float64, in Inputs) {
-	cfg := &s.cfg
-	mix := cfg.MixingUA * s.driftFactor()
-	// Validate() guarantees boost >= 1 and stage in (0, 1].
-	mixOf := [3]float64{edgePlain: mix, edgeBoost: mix * cfg.SeatMixBoost, edgeStage: mix * cfg.StageMixFactor}
-	groundTemp := cfg.GroundTemp + cfg.GroundTempDriftPerDay*s.elapsed/86400
-	flows := s.flows
-	totalFlow := s.totalFlow
+	s.net.fill(s, sub, in)
 
-	// Supply plenums: first-order mixing of supply air into each
-	// outlet's delivery stream.
-	for o := range s.outlet {
-		s.outlet[o] += s.plenumAlpha[o] * (in.HVAC.SupplyTemp - s.outlet[o])
-	}
-
-	// Per-cell loads.
-	occHeat := float64(in.Occupants) * cfg.OccupantHeat / float64(len(s.seatCells))
-	var lightHeat float64
-	if in.LightsOn {
-		lightHeat = cfg.LightingPower / float64(len(s.temps))
-	}
-	// Diffuser/buoyancy turbulence: a slow counter-phase oscillation
-	// between the supply-jet half and the return-plume half of the room.
-	// It is driven by the supply jets, so its strength follows the total
-	// supply flow: near-quiet overnight when the plant is off (a small
-	// buoyancy floor keeps the air from sitting perfectly still), full
-	// strength under daytime ventilation. The front and back halves
-	// breathe in counter-phase, like a slow room-scale circulation cell.
-	var wob bool
-	var wobFront, wobBack float64
-	if cfg.TurbulencePower > 0 {
-		period := cfg.TurbulencePeriod
-		if period <= 0 {
-			period = 37 * time.Minute
-		}
-		frac := 0.12 + 0.88*totalFlow/1.2
-		if frac > 1 {
-			frac = 1
-		}
-		wobAmp := frac * cfg.TurbulencePower / float64(len(s.temps))
-		wobPhase := 2 * math.Pi * s.elapsed / period.Seconds()
-		if wob = wobAmp > 0; wob {
-			wobFront = wobAmp * math.Sin(wobPhase)
-			wobBack = wobAmp * math.Sin(wobPhase+math.Pi)
-		}
-	}
-
-	// Per-class coefficients: the conductance-weighted relaxation rate
-	// g (edges in edge order, then envelope, ground and front-cell
-	// supply, exactly the per-cell summation order), its exponential
-	// decay over the substep and the heat load.
+	// Per-class coefficients: the relaxation rate g (edges in edge
+	// order, then the boundary terms in order, exactly the per-node
+	// summation order), its exponential decay over the substep, each
+	// boundary term's conductance-weighted source and the heat load.
 	for c := range s.classes {
 		cl := &s.classes[c]
 		var g float64
 		for e := 0; e < cl.nEdge; e++ {
-			cl.m[e] = mixOf[cl.kind[e]]
+			cl.m[e] = s.cond[cl.edge[e]]
 			g += cl.m[e]
 		}
-		if cl.env > 0 {
-			g += cl.env
-		}
-		g += s.groundUA
-		if o := cl.outlet; o >= 0 && flows[o] > 0 {
-			g += s.supplyG[o]
+		for k := 0; k < cl.nBound; k++ {
+			b := s.cond[cl.bound[k]]
+			g += b
+			cl.bt[k] = b * s.src[cl.src[k]]
 		}
 		cl.g = g
 		if g > 0 {
 			cl.decay = math.Exp(-sub * g / s.cellCap)
 		}
-		load := lightHeat
-		if cl.seat {
-			load += occHeat
-		}
-		if wob {
-			if cl.back {
-				load += wobBack
-			} else {
-				load += wobFront
-			}
-		}
-		cl.load = load
+		cl.load = s.load[cl.group]
 	}
 
-	old := s.temps
-	next := s.scratch
-	ny := s.ny
-	groundGT := s.groundUA * groundTemp
-	// The cell update reads only the frozen `old` field and the class
-	// coefficients, and writes only next[ix*ny : (ix+1)*ny] for its own
-	// rows, so grid-row bands are independent: large grids fan out over
-	// the par worker pool with the exact serial per-cell arithmetic
-	// (bit-for-bit identical results at any worker count). The
-	// paper-scale default grid (10x6 cells) stays below simParCells and
-	// runs serially with zero overhead.
-	update := func(ixlo, ixhi int) {
-		for i := ixlo * ny; i < ixhi*ny; i++ {
-			cl := &s.classes[s.classOf[i]]
-			// Conductance-weighted equilibrium of the frozen
-			// neighborhood: unconditionally stable exponential
-			// relaxation toward it.
-			var gt float64
-			for e := 0; e < cl.nEdge; e++ {
-				gt += cl.m[e] * old[i+cl.off[e]]
-			}
-			if cl.env > 0 {
-				gt += cl.env * in.Ambient
-			}
-			gt += groundGT
-			if o := cl.outlet; o >= 0 && flows[o] > 0 {
-				gt += s.supplyG[o] * s.outlet[o]
-			}
-			next[i] = relaxDecay(old[i], cl.g, gt, cl.load, sub, s.cellCap, cl.decay)
-		}
-	}
-	if s.nx*ny >= simParCells {
-		par.For(0, s.nx, 1, update)
+	// The node update reads only the frozen field and the class
+	// coefficients, and writes only its own rows, so grid-row bands are
+	// independent: large grids fan out over the par worker pool with
+	// the exact serial per-node arithmetic (bit-for-bit identical
+	// results at any worker count). The paper-scale default grid (10x6
+	// cells) stays below simParCells and runs serially with zero
+	// overhead.
+	if s.nx*s.ny >= simParCells {
+		par.For(0, s.nx, 1, func(ixlo, ixhi int) { s.sweep(ixlo, ixhi, sub) })
 	} else {
-		update(0, s.nx)
+		s.sweep(0, s.nx, sub)
 	}
-	s.temps, s.scratch = next, old
+	s.temps, s.scratch = s.scratch, s.temps
 
-	// Well-mixed moisture balance on the true air mass.
-	if totalFlow > 0 || in.Occupants > 0 {
-		dw := (float64(in.Occupants)*cfg.OccupantMoisture +
-			totalFlow*(cfg.SupplyHumidity-s.humidity)) / s.airMass
-		s.humidity += sub * dw
-		if s.humidity < 0 {
-			s.humidity = 0
-		}
-	}
-
-	// Well-mixed CO2 balance (supply air is outdoor-equivalent for CO2).
-	q := totalFlow / airDensity // m^3/s
-	dc := (float64(in.Occupants)*cfg.OccupantCO2*1e6 + q*(cfg.AmbientCO2-s.co2)) / s.volume
-	s.co2 += sub * dc
-	if s.co2 < cfg.AmbientCO2 {
-		s.co2 = cfg.AmbientCO2
-	}
-
+	s.air.step(sub, in.Occupants, s.totalFlow)
 	s.elapsed += sub
 }
 
-// relax moves ti toward its frozen-neighborhood equilibrium
-// (gt + load)/g with the exact exponential for time constant cap/g.
-// It is unconditionally stable for any substep.
-func relax(ti, g, gt, load, sub, cap float64) float64 {
-	return relaxDecay(ti, g, gt, load, sub, cap, math.Exp(-sub*g/cap))
+// sweep writes the next temperature of every node in grid rows
+// [ixlo, ixhi) from the frozen field and the class coefficients.
+func (s *Simulator) sweep(ixlo, ixhi int, sub float64) {
+	old, next := s.temps, s.scratch
+	for i := ixlo * s.ny; i < ixhi*s.ny; i++ {
+		cl := &s.classes[s.classOf[i]]
+		// Conductance-weighted equilibrium of the frozen neighborhood:
+		// unconditionally stable exponential relaxation toward it.
+		var gt float64
+		for e := 0; e < cl.nEdge; e++ {
+			gt += cl.m[e] * old[i+cl.off[e]]
+		}
+		for k := 0; k < cl.nBound; k++ {
+			gt += cl.bt[k]
+		}
+		next[i] = relaxDecay(old[i], cl.g, gt, cl.load, sub, s.cellCap, cl.decay)
+	}
 }
 
-// relaxDecay is relax with its decay factor math.Exp(-sub*g/cap)
-// supplied by the caller, so cells sharing g share one Exp. The decay
-// is unused when g <= 0.
+// relaxDecay moves ti toward its frozen-neighborhood equilibrium
+// (gt + load)/g with decay = exp(-sub*g/cap), the exact exponential
+// for time constant cap/g. It is unconditionally stable for any
+// substep; the decay is unused when g <= 0.
 func relaxDecay(ti, g, gt, load, sub, cap, decay float64) float64 {
 	if g <= 0 {
 		return ti + sub*load/cap
@@ -590,49 +352,48 @@ func relaxDecay(ti, g, gt, load, sub, cap, decay float64) float64 {
 	return teq + (ti-teq)*decay
 }
 
-// driftFactor is the seasonal mixing drift multiplier after the
-// elapsed simulated time.
-func (s *Simulator) driftFactor() float64 {
-	if s.cfg.MixDriftPerDay == 0 {
-		return 1
-	}
-	days := s.elapsed / 86400
-	return math.Exp(days * s.logDrift)
+// wellMixed is the room air's moisture and CO2 balance: one well-mixed
+// volume per building, the same for every archetype.
+type wellMixed struct {
+	airMass, volume             float64 // kg (true, unscaled air mass), m^3
+	occMoisture, supplyHumidity float64 // kg/s per person, kg/kg
+	occCO2, ambientCO2          float64 // m^3/s per person, ppm
+	humidity, co2               float64 // kg/kg, ppm
 }
 
-// cellIndexFrac maps a point to fractional cell-grid coordinates,
-// clamped to the cell-center lattice.
-func (s *Simulator) cellIndexFrac(p Point) (fx, fy float64) {
-	dx := RoomDepth / float64(s.nx)
-	dy := RoomWidth / float64(s.ny)
-	fx = p.X/dx - 0.5
-	fy = p.Y/dy - 0.5
-	fx = math.Min(math.Max(fx, 0), float64(s.nx-1))
-	fy = math.Min(math.Max(fy, 0), float64(s.ny-1))
-	return fx, fy
+func newAir(volume, occMoisture, supplyHumidity, occCO2, ambientCO2 float64) wellMixed {
+	return wellMixed{
+		airMass: volume * airDensity, volume: volume,
+		occMoisture: occMoisture, supplyHumidity: supplyHumidity,
+		occCO2: occCO2, ambientCO2: ambientCO2,
+		humidity: supplyHumidity, co2: ambientCO2,
+	}
+}
+
+// step advances the balance by sub seconds (supply air is
+// outdoor-equivalent for CO2).
+func (a *wellMixed) step(sub float64, occupants int, totalFlow float64) {
+	if totalFlow > 0 || occupants > 0 {
+		dw := (float64(occupants)*a.occMoisture +
+			totalFlow*(a.supplyHumidity-a.humidity)) / a.airMass
+		a.humidity += sub * dw
+		if a.humidity < 0 {
+			a.humidity = 0
+		}
+	}
+	q := totalFlow / airDensity // m^3/s
+	dc := (float64(occupants)*a.occCO2*1e6 + q*(a.ambientCO2-a.co2)) / a.volume
+	a.co2 += sub * dc
+	if a.co2 < a.ambientCO2 {
+		a.co2 = a.ambientCO2
+	}
 }
 
 // TemperatureAt returns the air temperature at a floor-plan point by
-// bilinear interpolation between cell centers (clamped at the walls).
+// bilinear interpolation between node centers, clamped at the walls
+// (on the residence's one-row chain, linear along X).
 func (s *Simulator) TemperatureAt(p Point) float64 {
-	fx, fy := s.cellIndexFrac(p)
-	ix0 := int(fx)
-	iy0 := int(fy)
-	ix1 := ix0 + 1
-	iy1 := iy0 + 1
-	if ix1 > s.nx-1 {
-		ix1 = s.nx - 1
-	}
-	if iy1 > s.ny-1 {
-		iy1 = s.ny - 1
-	}
-	tx := fx - float64(ix0)
-	ty := fy - float64(iy0)
-	t00 := s.temps[ix0*s.ny+iy0]
-	t01 := s.temps[ix0*s.ny+iy1]
-	t10 := s.temps[ix1*s.ny+iy0]
-	t11 := s.temps[ix1*s.ny+iy1]
-	return (1-tx)*((1-ty)*t00+ty*t01) + tx*((1-ty)*t10+ty*t11)
+	return interpBilinear(s.temps, s.nx, s.ny, s.depth, s.width, p)
 }
 
 // TemperaturesAt evaluates TemperatureAt for every point in ps,
@@ -649,7 +410,7 @@ func (s *Simulator) TemperaturesAt(ps []Point, dst []float64) []float64 {
 	return dst
 }
 
-// MeanTemp returns the average cell temperature (the return-air
+// MeanTemp returns the average node temperature (the return-air
 // temperature seen by the plant).
 func (s *Simulator) MeanTemp() float64 {
 	var sum float64
@@ -664,7 +425,7 @@ func (s *Simulator) MeanTemp() float64 {
 // temperature's saturation ratio.
 func (s *Simulator) RelativeHumidityAt(p Point) float64 {
 	t := s.TemperatureAt(p)
-	rh := 100 * s.humidity / saturationRatio(t)
+	rh := 100 * s.air.humidity / saturationRatio(t)
 	if rh < 0 {
 		return 0
 	}
@@ -675,7 +436,7 @@ func (s *Simulator) RelativeHumidityAt(p Point) float64 {
 }
 
 // CO2 returns the well-mixed CO2 concentration in ppm.
-func (s *Simulator) CO2() float64 { return s.co2 }
+func (s *Simulator) CO2() float64 { return s.air.co2 }
 
 // saturationRatio is the saturation humidity ratio (kg/kg) at t degC
 // and standard pressure, via the Magnus formula.
@@ -686,4 +447,47 @@ func saturationRatio(t float64) float64 {
 		psat = pAtm - 1
 	}
 	return 0.622 * psat / (pAtm - psat)
+}
+
+// interpBilinear evaluates a row-major nx-by-ny node-center field at a
+// floor-plan point by bilinear interpolation, clamped to the
+// node-center lattice. depth/width is the floor-plan extent.
+func interpBilinear(temps []float64, nx, ny int, depth, width float64, p Point) float64 {
+	dx := depth / float64(nx)
+	dy := width / float64(ny)
+	fx := p.X/dx - 0.5
+	fy := p.Y/dy - 0.5
+	fx = minf(maxf(fx, 0), float64(nx-1))
+	fy = minf(maxf(fy, 0), float64(ny-1))
+	ix0 := int(fx)
+	iy0 := int(fy)
+	ix1 := ix0 + 1
+	iy1 := iy0 + 1
+	if ix1 > nx-1 {
+		ix1 = nx - 1
+	}
+	if iy1 > ny-1 {
+		iy1 = ny - 1
+	}
+	tx := fx - float64(ix0)
+	ty := fy - float64(iy0)
+	t00 := temps[ix0*ny+iy0]
+	t01 := temps[ix0*ny+iy1]
+	t10 := temps[ix1*ny+iy0]
+	t11 := temps[ix1*ny+iy1]
+	return (1-tx)*((1-ty)*t00+ty*t01) + tx*((1-ty)*t10+ty*t11)
+}
+
+func minf(a, b float64) float64 {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+func maxf(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	return b
 }

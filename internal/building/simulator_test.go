@@ -1,6 +1,7 @@
 package building
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -94,13 +95,56 @@ func TestStepCoolingFront(t *testing.T) {
 	}
 }
 
+// TestStepRejectsBadInputs runs the one merged input check on every
+// archetype: a non-positive dt, a negative occupant count, and every
+// negative or non-finite flow, ambient or supply temperature is an
+// error that leaves the state untouched.
 func TestStepRejectsBadInputs(t *testing.T) {
-	s, err := NewSimulator(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	inf, nan := math.Inf(1), math.NaN()
+	good := func() Inputs {
+		return Inputs{HVAC: hvac.State{Flows: []float64{0.2, 0.2, 0.2, 0.2}, SupplyTemp: 14}, Ambient: 20}
 	}
-	if err := s.Step(0, Inputs{HVAC: hvac.State{Flows: make([]float64, 4)}}); err == nil {
-		t.Error("zero dt accepted")
+	bad := []struct {
+		name string
+		dt   time.Duration
+		in   func(*Inputs)
+	}{
+		{"zero dt", 0, func(*Inputs) {}},
+		{"negative dt", -time.Second, func(*Inputs) {}},
+		{"negative occupants", time.Minute, func(in *Inputs) { in.Occupants = -1 }},
+		{"negative flow", time.Minute, func(in *Inputs) { in.HVAC.Flows[1] = -0.1 }},
+		{"NaN flow", time.Minute, func(in *Inputs) { in.HVAC.Flows[2] = nan }},
+		{"+Inf flow", time.Minute, func(in *Inputs) { in.HVAC.Flows[0] = inf }},
+		{"NaN ambient", time.Minute, func(in *Inputs) { in.Ambient = nan }},
+		{"+Inf ambient", time.Minute, func(in *Inputs) { in.Ambient = inf }},
+		{"-Inf ambient", time.Minute, func(in *Inputs) { in.Ambient = -inf }},
+		{"NaN supply", time.Minute, func(in *Inputs) { in.HVAC.SupplyTemp = nan }},
+		{"+Inf supply", time.Minute, func(in *Inputs) { in.HVAC.SupplyTemp = inf }},
+		{"-Inf supply", time.Minute, func(in *Inputs) { in.HVAC.SupplyTemp = -inf }},
+	}
+	for _, name := range Archetypes() {
+		sp, err := DefaultSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sp.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.MeanTemp()
+		for _, c := range bad {
+			in := good()
+			c.in(&in)
+			if err := s.Step(c.dt, in); err == nil {
+				t.Errorf("%s: %s accepted", name, c.name)
+			}
+		}
+		if s.MeanTemp() != before || s.elapsed != 0 {
+			t.Errorf("%s: rejected steps moved the state", name)
+		}
+		if err := s.Step(time.Minute, good()); err != nil {
+			t.Errorf("%s: good input rejected: %v", name, err)
+		}
 	}
 }
 

@@ -112,7 +112,7 @@ func RunLoop(cfg LoopConfig, ctrl Controller) (*LoopResult, error) {
 				n, len(cfg.SensorPositions), ErrBadConfig)
 		}
 	}
-	var sim building.Building
+	var sim *building.Simulator
 	var err error
 	if cfg.Spec != nil {
 		if err = cfg.Spec.Validate(); err != nil {

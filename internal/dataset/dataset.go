@@ -221,7 +221,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: portal: %w", err)
 	}
 
-	var sim building.Building
+	var sim *building.Simulator
 	var sensors []building.SensorSpec
 	if cfg.Spec != nil {
 		if err := cfg.Spec.Validate(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -58,6 +59,9 @@ func qFloat(q url.Values, params map[string]string, key string, def float64) (fl
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %s: %w", key, err)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("parameter %s: %v is not finite", key, f)
 	}
 	params[key] = strconv.FormatFloat(f, 'g', -1, 64)
 	return f, nil

@@ -407,6 +407,8 @@ func TestBadParameters(t *testing.T) {
 		"/v1/select?seeds=0",
 		"/v1/control?controller=bangbang",
 		"/v1/control?days=0",
+		"/v1/control?controller=fixed&days=1&flow=Inf",
+		"/v1/control?days=1&setpoint=NaN",
 		"/v1/report",
 		"/v1/report?id=fig99",
 	} {
