@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build examples test race fuzz-smoke bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
+.PHONY: check vet build examples test race fuzz-smoke repro-digest bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
 
 check: vet build examples race test
 
@@ -60,6 +60,19 @@ fuzz-smoke:
 	$(GO) test ./internal/occupancy -run '^$$' -fuzz '^FuzzCountAt$$' -fuzztime 10s
 	$(GO) test ./internal/sensornet -run '^$$' -fuzz '^FuzzInOutage$$' -fuzztime 10s
 	$(GO) test ./internal/building -run '^$$' -fuzz '^FuzzKernelRef$$' -fuzztime 10s
+
+# The paper-reproduction contract: a cold `repro` (no cache, no store)
+# must print exactly the stdout whose sha256 is recorded in
+# cmd/repro/testdata/paper_stdout.sha256 (recorded on linux/amd64). A
+# change that means to move the paper's numbers updates that file in
+# the same commit and says why.
+repro-digest:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	AUDITHERM_CACHE= AUDITHERM_STORE= $(GO) run ./cmd/repro -cache-dir '' -store '' > "$$out" && \
+	got=$$(sha256sum < "$$out" | cut -d' ' -f1) && \
+	want=$$(cut -d' ' -f1 cmd/repro/testdata/paper_stdout.sha256) && \
+	if [ "$$got" != "$$want" ]; then echo "repro stdout sha256 $$got, want $$want" >&2; exit 1; fi && \
+	echo "repro stdout sha256 $$got matches cmd/repro/testdata/paper_stdout.sha256"
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

@@ -212,15 +212,9 @@ func panels(rs []*experiments.IntraClusterResult) fmt.Stringer {
 // compacts all valid columns into one pseudo-continuous trace.
 func BenchmarkAblationPiecewiseLS(b *testing.B) {
 	e := env(b)
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	trainW, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		b.Fatal(err)
-	}
-	validW, err := e.ValidWindows(dataset.Occupied)
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := e.Data
+	trainW := e.TrainWindows(dataset.Occupied)
+	validW := e.ValidWindows(dataset.Occupied)
 	naiveTemps := dataset.CollectValid(e.Temps, e.Valid, trainW)
 	naiveInputs := dataset.CollectValid(e.Inputs, e.Valid, trainW)
 	naiveData := sysid.Data{Temps: naiveTemps, Inputs: naiveInputs}
@@ -258,15 +252,9 @@ func BenchmarkAblationPiecewiseLS(b *testing.B) {
 // free-run predictions drift.
 func BenchmarkAblationStability(b *testing.B) {
 	e := env(b)
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	trainW, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		b.Fatal(err)
-	}
-	validW, err := e.ValidWindows(dataset.Occupied)
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := e.Data
+	trainW := e.TrainWindows(dataset.Occupied)
+	validW := e.ValidWindows(dataset.Occupied)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stab, err := sysid.Fit(data, trainW, sysid.SecondOrder, sysid.DefaultOptions())
@@ -299,10 +287,7 @@ func BenchmarkAblationStability(b *testing.B) {
 // cluster-count heuristic against the linear variant.
 func BenchmarkAblationEigengapScale(b *testing.B) {
 	e := env(b)
-	x, err := e.WirelessTrainTraces()
-	if err != nil {
-		b.Fatal(err)
-	}
+	x := e.WirelessTrainTraces()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, metric := range []cluster.Metric{cluster.Euclidean, cluster.Correlation} {
@@ -336,10 +321,7 @@ func BenchmarkAblationEigengapScale(b *testing.B) {
 // traces.
 func BenchmarkAblationClusterAlgorithms(b *testing.B) {
 	e := env(b)
-	x, err := e.WirelessTrainTraces()
-	if err != nil {
-		b.Fatal(err)
-	}
+	x := e.WirelessTrainTraces()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w, err := cluster.SimilarityMatrix(x, cluster.Correlation)
@@ -408,11 +390,8 @@ func BenchmarkKernelEigenSym25(b *testing.B) {
 
 func BenchmarkKernelModelSimulate(b *testing.B) {
 	e := env(b)
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	trainW, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := e.Data
+	trainW := e.TrainWindows(dataset.Occupied)
 	m, err := sysid.Fit(data, trainW, sysid.SecondOrder, sysid.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
@@ -430,11 +409,8 @@ func BenchmarkKernelModelSimulate(b *testing.B) {
 
 func BenchmarkKernelFitSecondOrder(b *testing.B) {
 	e := env(b)
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	trainW, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := e.Data
+	trainW := e.TrainWindows(dataset.Occupied)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sysid.Fit(data, trainW, sysid.SecondOrder, sysid.DefaultOptions()); err != nil {
@@ -462,15 +438,9 @@ func BenchmarkKernelDatasetDay(b *testing.B) {
 // traditional independent single-sensor models.
 func BenchmarkAblationCoupling(b *testing.B) {
 	e := env(b)
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	trainW, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		b.Fatal(err)
-	}
-	validW, err := e.ValidWindows(dataset.Occupied)
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := e.Data
+	trainW := e.TrainWindows(dataset.Occupied)
+	validW := e.ValidWindows(dataset.Occupied)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coupled, err := sysid.Fit(data, trainW, sysid.SecondOrder, sysid.DefaultOptions())
@@ -544,12 +514,13 @@ func BenchmarkAblationReportThreshold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			days, err := d.UsableDays(dataset.Occupied, 0.1)
+			md, err := dataset.NewModelData(d.Frame)
 			if err != nil {
 				b.Fatal(err)
 			}
+			train, valid := md.Split(dataset.Occupied, cfg.HVAC.OnHour, cfg.HVAC.OffHour, 0.1)
 			lines += fmt.Sprintf("threshold %.2f degC: %.1f%% missing, %d/%d usable occupied days\n",
-				thr, 100*d.Frame.MissingFraction(), len(days), cfg.Days)
+				thr, 100*d.Frame.MissingFraction(), len(train)+len(valid), cfg.Days)
 		}
 		report(b, header(lines))
 	}

@@ -69,7 +69,7 @@ func run(rt *cliutil.Runtime, days int, seed int64, out, truthOut string) error 
 	if err != nil {
 		return err
 	}
-	sim := pipeline.Simulate(eng, cfg)
+	sim := pipeline.SimulateNamed(eng, "simulate", cfg)
 
 	// SIGINT/SIGTERM cancels the run context so in-flight stages unwind
 	// and Close still flushes the trace, manifest and alert journal.
@@ -96,17 +96,19 @@ func run(rt *cliutil.Runtime, days int, seed int64, out, truthOut string) error 
 		}
 	}
 	b.EndStage()
-	occ, err := d.UsableDays(dataset.Occupied, 0.1)
+	md, err := dataset.NewModelData(d.Frame)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "usable occupied days: %d of %d\n", len(occ), days)
+	train, valid := md.Split(dataset.Occupied, cfg.HVAC.OnHour, cfg.HVAC.OffHour, 0.1)
+	occ := len(train) + len(valid)
+	fmt.Fprintf(os.Stderr, "usable occupied days: %d of %d\n", occ, days)
 	rt.PrintCacheSummary(eng)
 	if rt.ManifestRequested() {
 		b.SetMetric("grid_steps", float64(d.Frame.Grid.N))
 		b.SetMetric("channels", float64(len(d.Frame.Channels)))
 		b.SetMetric("missing_fraction", d.Frame.MissingFraction())
-		b.SetMetric("usable_occupied_days", float64(len(occ)))
+		b.SetMetric("usable_occupied_days", float64(occ))
 		b.StageCount("simulate", "sim_steps", obs.Default.CounterValue("auditherm_dataset_sim_steps_total"))
 		b.StageCount("simulate", "samples", obs.Default.CounterValue("auditherm_dataset_samples_total"))
 	}

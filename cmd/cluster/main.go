@@ -74,7 +74,7 @@ func run(rt *cliutil.Runtime, in, metricName string, k, onHour, offHour int) err
 	if err != nil {
 		return err
 	}
-	clusterNode := pipeline.ClusterSensors(eng, frameNode, pipeline.ClusterConfig{
+	clusterNode := pipeline.ClusterSensorsNamed(eng, "cluster", frameNode, pipeline.ClusterConfig{
 		Metric: metric, K: k,
 		OnHour: onHour, OffHour: offHour,
 		Seed: 11,

@@ -131,7 +131,7 @@ func run(rt *cliutil.Runtime, name string, days int, setpoint, flow float64, see
 	if err != nil {
 		return err
 	}
-	node := pipeline.ControlRun(eng, pipeline.ControlConfig{
+	node := pipeline.ControlRunNamed(eng, "control", pipeline.ControlConfig{
 		Controller: name, Days: days,
 		Setpoint: setpoint, Flow: flow,
 		Seed: seed, Start: start,

@@ -77,12 +77,12 @@ func run(rt *cliutil.Runtime, in string, k, seeds, onHour, offHour int, gpMode s
 	}
 	// The selection pipeline clusters on the training half of the
 	// occupied windows (the held-out half scores the selections).
-	clusterNode := pipeline.ClusterSensors(eng, frameNode, pipeline.ClusterConfig{
+	clusterNode := pipeline.ClusterSensorsNamed(eng, "cluster", frameNode, pipeline.ClusterConfig{
 		Metric: cluster.Correlation, K: k,
 		OnHour: onHour, OffHour: offHour,
 		Seed: 11, TrainHalf: true,
 	})
-	selNode := pipeline.SelectRepresentatives(eng, frameNode, clusterNode, pipeline.SelectConfig{
+	selNode := pipeline.SelectRepresentativesNamed(eng, "select", frameNode, clusterNode, pipeline.SelectConfig{
 		OnHour: onHour, OffHour: offHour,
 		Seeds: seeds, GPMode: gpMode,
 	})

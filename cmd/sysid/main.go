@@ -24,7 +24,6 @@ import (
 	"auditherm/internal/artifact"
 	"auditherm/internal/cliutil"
 	"auditherm/internal/dataset"
-	"auditherm/internal/mat"
 	"auditherm/internal/obs"
 	"auditherm/internal/pipeline"
 	"auditherm/internal/stats"
@@ -97,8 +96,8 @@ func run(rt *cliutil.Runtime, in string, orderN int, modeName string, horizon ti
 	if err != nil {
 		return err
 	}
-	modelNode := pipeline.Identify(eng, frameNode, idCfg)
-	evalNode := pipeline.Evaluate(eng, frameNode, modelNode, idCfg, horizon)
+	modelNode := pipeline.IdentifyNamed(eng, "sysid", frameNode, idCfg)
+	evalNode := pipeline.EvaluateNamed(eng, "evaluate", frameNode, modelNode, idCfg, horizon)
 
 	// SIGINT/SIGTERM cancels the run context so in-flight stages unwind
 	// and Close still flushes the trace, manifest and alert journal.
@@ -115,16 +114,14 @@ func run(rt *cliutil.Runtime, in string, orderN int, modeName string, horizon ti
 	if err != nil {
 		return err
 	}
-	temps, inputs, sensors, err := dataset.FrameMatrices(frame)
+	md, err := dataset.NewModelData(frame)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("loaded %s: %d sensors, %d inputs, %d steps at %v\n",
-		in, len(sensors), inputs.Rows(), frame.Grid.N, frame.Grid.Step)
-	wins := dataset.GridModeWindows(frame.Grid, mode, onHour, offHour)
-	usable := dataset.UsableWindows([]*mat.Dense{temps, inputs}, wins, idCfg.MaxMissing)
-	train, valid := dataset.SplitWindows(usable)
-	fmt.Printf("%v windows: %d usable (%d train / %d validation)\n", mode, len(usable), len(train), len(valid))
+		in, len(md.Sensors), md.Inputs.Rows(), frame.Grid.N, frame.Grid.Step)
+	train, valid := md.Split(mode, onHour, offHour, idCfg.MaxMissing)
+	fmt.Printf("%v windows: %d usable (%d train / %d validation)\n", mode, len(train)+len(valid), len(train), len(valid))
 
 	b.SetMetric("spectral_radius", float64(ev.SpectralRadius))
 	b.SetMetric("evaluated_windows", float64(ev.Windows))

@@ -22,29 +22,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	temps, err := d.TempsMatrix()
+	md, err := dataset.NewModelData(d.Frame)
 	if err != nil {
 		log.Fatal(err)
 	}
-	inputs, err := d.InputsMatrix()
-	if err != nil {
-		log.Fatal(err)
-	}
-	data := sysid.Data{Temps: temps, Inputs: inputs}
-
-	days, err := d.UsableDays(dataset.Occupied, 0.1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	train, valid := dataset.SplitDays(days)
-	trainWins, err := d.Windows(dataset.Occupied, train)
-	if err != nil {
-		log.Fatal(err)
-	}
-	window, err := d.Window(dataset.Occupied, valid[0])
-	if err != nil {
-		log.Fatal(err)
-	}
+	trainWins, validWins := md.Split(dataset.Occupied, cfg.HVAC.OnHour, cfg.HVAC.OffHour, 0.1)
+	window := validWins[0]
 
 	// Sensor 1 sits at the back of the room, far from the outlets: the
 	// hardest spot for a model driven by the front thermostat zone.
@@ -59,11 +42,11 @@ func main() {
 	var measured []float64
 	var lastStep int
 	for oi, order := range []sysid.Order{sysid.FirstOrder, sysid.SecondOrder} {
-		m, err := sysid.Fit(data, trainWins, order, sysid.DefaultOptions())
+		m, err := sysid.Fit(md.Data, trainWins, order, sysid.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
-		pred, meas, first, err := sysid.PredictWindow(m, data, window)
+		pred, meas, first, err := sysid.PredictWindow(m, md.Data, window)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -27,27 +27,14 @@ func main() {
 
 	// 2. Assemble the identification problem: temperatures as outputs,
 	// VAV airflow + occupancy + lighting + ambient as inputs.
-	temps, err := d.TempsMatrix()
+	md, err := dataset.NewModelData(d.Frame)
 	if err != nil {
 		log.Fatal(err)
 	}
-	inputs, err := d.InputsMatrix()
-	if err != nil {
-		log.Fatal(err)
-	}
-	data := sysid.Data{Temps: temps, Inputs: inputs}
 
-	// 3. Train on the first week's occupied windows.
-	days, err := d.UsableDays(dataset.Occupied, 0.1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	train, valid := dataset.SplitDays(days)
-	trainWins, err := d.Windows(dataset.Occupied, train)
-	if err != nil {
-		log.Fatal(err)
-	}
-	model, err := sysid.Fit(data, trainWins, sysid.SecondOrder, sysid.DefaultOptions())
+	// 3. Train on the first half of the usable occupied windows.
+	trainWins, validWins := md.Split(dataset.Occupied, cfg.HVAC.OnHour, cfg.HVAC.OffHour, 0.1)
+	model, err := sysid.Fit(md.Data, trainWins, sysid.SecondOrder, sysid.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,12 +43,8 @@ func main() {
 		model.Order, model.NumSensors(), rho)
 
 	// 4. Free-run predict the held-out days, 13.5 hours ahead.
-	validWins, err := d.Windows(dataset.Occupied, valid)
-	if err != nil {
-		log.Fatal(err)
-	}
 	horizon := int((13*time.Hour + 30*time.Minute) / cfg.GridStep)
-	ev, err := sysid.Evaluate(model, data, validWins, horizon)
+	ev, err := sysid.Evaluate(model, md.Data, validWins, horizon)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,5 +53,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("validated on %d days: 90th-percentile per-sensor RMS = %.2f degC over %v\n",
-		len(valid), p90, 13*time.Hour+30*time.Minute)
+		len(validWins), p90, 13*time.Hour+30*time.Minute)
 }

@@ -24,30 +24,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	temps, err := d.TempsMatrix()
+	md, err := dataset.NewModelData(d.Frame)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mask, err := d.ValidColumns()
-	if err != nil {
-		log.Fatal(err)
-	}
-	days, err := d.UsableDays(dataset.Occupied, 0.1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	trainDays, validDays := dataset.SplitDays(days)
-	trainWins, err := d.Windows(dataset.Occupied, trainDays)
-	if err != nil {
-		log.Fatal(err)
-	}
-	validWins, err := d.Windows(dataset.Occupied, validDays)
-	if err != nil {
-		log.Fatal(err)
-	}
-	trainX := dataset.CollectValid(temps, mask, trainWins)
-	validX := dataset.CollectValid(temps, mask, validWins)
-	fmt.Printf("dense phase: %d sensors, %d gap-free training steps\n", temps.Rows(), trainX.Cols())
+	trainWins, validWins := md.Split(dataset.Occupied, cfg.HVAC.OnHour, cfg.HVAC.OffHour, 0.1)
+	trainX := dataset.CollectValid(md.Temps, md.Valid, trainWins)
+	validX := dataset.CollectValid(md.Temps, md.Valid, validWins)
+	fmt.Printf("dense phase: %d sensors, %d gap-free training steps\n", md.Temps.Rows(), trainX.Cols())
 
 	// Phase 2: cluster by measurement correlation; let the eigengap
 	// pick the cluster count.
@@ -60,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	members := res.Members()
-	names := d.SensorNames()
+	names := md.Sensors
 	fmt.Printf("eigengap chose %d thermal zones:\n", res.K)
 	for c, ms := range members {
 		fmt.Printf("  zone %d:", c+1)
@@ -98,5 +82,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("validation: zone-mean tracking error median %.2f degC, 99th percentile %.2f degC\n", p50, p99)
-	fmt.Printf("the other %d sensors can be removed after the training phase\n", temps.Rows()-len(reps))
+	fmt.Printf("the other %d sensors can be removed after the training phase\n", md.Temps.Rows()-len(reps))
 }

@@ -85,16 +85,16 @@ func runDAG(ctx context.Context, cacheDir string) (map[string]pipeline.Result, t
 		MaxMissing: 0.5,
 	}
 	t0 := time.Now()
-	ds := pipeline.Simulate(e, cfg)
-	frame := pipeline.DatasetFrame(e, ds)
-	model := pipeline.Identify(e, frame, idCfg)
-	eval := pipeline.Evaluate(e, frame, model, idCfg, 4*time.Hour)
-	clusters := pipeline.ClusterSensors(e, frame, pipeline.ClusterConfig{
+	ds := pipeline.SimulateNamed(e, "simulate", cfg)
+	frame := pipeline.DatasetFrameNamed(e, "frame", ds)
+	model := pipeline.IdentifyNamed(e, "sysid", frame, idCfg)
+	eval := pipeline.EvaluateNamed(e, "evaluate", frame, model, idCfg, 4*time.Hour)
+	clusters := pipeline.ClusterSensorsNamed(e, "cluster", frame, pipeline.ClusterConfig{
 		Metric: cluster.Correlation, K: 2,
 		OnHour: cfg.HVAC.OnHour, OffHour: cfg.HVAC.OffHour,
 		Seed: 11,
 	})
-	sel := pipeline.SelectRepresentatives(e, frame, clusters, pipeline.SelectConfig{
+	sel := pipeline.SelectRepresentativesNamed(e, "select", frame, clusters, pipeline.SelectConfig{
 		OnHour: cfg.HVAC.OnHour, OffHour: cfg.HVAC.OffHour,
 		Seeds: 3, GPMode: "fast",
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"auditherm/internal/mat"
 	"auditherm/internal/timeseries"
 )
 
@@ -153,37 +154,25 @@ func TestOutagesProduceGaps(t *testing.T) {
 
 func TestWindowBounds(t *testing.T) {
 	d := mustGenerate(t, smallConfig())
-	occ, err := d.Window(Occupied, 0)
-	if err != nil {
-		t.Fatal(err)
+	on, off := d.Config.HVAC.OnHour, d.Config.HVAC.OffHour
+	occ := GridModeWindows(d.Frame.Grid, Occupied, on, off)
+	un := GridModeWindows(d.Frame.Grid, Unoccupied, on, off)
+	if len(occ) != d.Config.Days || len(un) != d.Config.Days {
+		t.Fatalf("windows = %d occupied, %d unoccupied; want %d each", len(occ), len(un), d.Config.Days)
 	}
 	// 06:00-21:00 on a 15-minute grid: steps 24..84.
-	if occ.Start != 24 || occ.End != 84 {
-		t.Errorf("occupied window = %+v, want [24,84)", occ)
+	if occ[0].Start != 24 || occ[0].End != 84 {
+		t.Errorf("occupied window = %+v, want [24,84)", occ[0])
 	}
-	un, err := d.Window(Unoccupied, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if un.Start != 84 || un.End != 96+24 {
-		t.Errorf("unoccupied window = %+v, want [84,120)", un)
+	if un[0].Start != 84 || un[0].End != 96+24 {
+		t.Errorf("unoccupied window = %+v, want [84,120)", un[0])
 	}
 	// Last day's unoccupied window clips at the grid end.
-	last, err := d.Window(Unoccupied, d.Config.Days-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.End != d.Frame.Grid.N {
+	if last := un[len(un)-1]; last.End != d.Frame.Grid.N {
 		t.Errorf("last unoccupied window end = %d, want %d", last.End, d.Frame.Grid.N)
 	}
-	if _, err := d.Window(Occupied, -1); err == nil {
-		t.Error("negative day accepted")
-	}
-	if _, err := d.Window(Occupied, d.Config.Days); err == nil {
-		t.Error("day beyond trace accepted")
-	}
-	if _, err := d.Window(Mode(9), 0); err == nil {
-		t.Error("unknown mode accepted")
+	if wins := GridModeWindows(d.Frame.Grid, Mode(9), on, off); wins != nil {
+		t.Errorf("unknown mode has windows %+v", wins)
 	}
 }
 
@@ -196,80 +185,88 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestUsableDaysAndSplit(t *testing.T) {
-	d := mustGenerate(t, smallConfig())
-	days, err := d.UsableDays(Occupied, 0.1)
+// usableOccupied returns the occupied windows of d that pass the
+// 10% missing-step budget.
+func usableOccupied(t *testing.T, d *Dataset) []timeseries.Segment {
+	t.Helper()
+	md, err := NewModelData(d.Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(days) == 0 {
+	wins := GridModeWindows(d.Frame.Grid, Occupied, d.Config.HVAC.OnHour, d.Config.HVAC.OffHour)
+	return UsableWindows(md.Valid, wins, 0.1)
+}
+
+func TestUsableDaysAndSplit(t *testing.T) {
+	d := mustGenerate(t, smallConfig())
+	usable := usableOccupied(t, d)
+	if len(usable) == 0 {
 		t.Fatal("no usable days in two-week trace")
 	}
-	if len(days) > d.Config.Days {
-		t.Fatalf("usable days %d exceeds trace", len(days))
+	if len(usable) > d.Config.Days {
+		t.Fatalf("usable days %d exceeds trace", len(usable))
 	}
 	// With one long outage, some days must be lost.
-	if len(days) == d.Config.Days {
+	if len(usable) == d.Config.Days {
 		t.Error("outage removed no days")
 	}
-	train, valid := SplitDays(days)
-	if len(train)+len(valid) != len(days) {
-		t.Errorf("split loses days: %d + %d != %d", len(train), len(valid), len(days))
+	md, err := NewModelData(d.Frame)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(train) > 0 && len(valid) > 0 && train[len(train)-1] >= valid[0] {
+	train, valid := md.Split(Occupied, d.Config.HVAC.OnHour, d.Config.HVAC.OffHour, 0.1)
+	if len(train)+len(valid) != len(usable) {
+		t.Errorf("split loses days: %d + %d != %d", len(train), len(valid), len(usable))
+	}
+	if len(train) > 0 && len(valid) > 0 && train[len(train)-1].Start >= valid[0].Start {
 		t.Error("split is not temporal")
 	}
 }
 
 func TestMatricesShapes(t *testing.T) {
 	d := mustGenerate(t, smallConfig())
-	temps, err := d.TempsMatrix()
+	md, err := NewModelData(d.Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, c := temps.Dims()
+	r, c := md.Temps.Dims()
 	if r != 27 || c != d.Frame.Grid.N {
 		t.Errorf("temps dims = %dx%d", r, c)
 	}
-	inputs, err := d.InputsMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, c = inputs.Dims()
+	r, c = md.Inputs.Dims()
 	if r != 7 || c != d.Frame.Grid.N {
 		t.Errorf("inputs dims = %dx%d", r, c)
 	}
-	truth, err := d.TruthMatrix()
-	if err != nil {
-		t.Fatal(err)
+	if len(md.Sensors) != 27 || md.Sensors[0] != d.SensorNames()[0] {
+		t.Errorf("sensor rows = %v", md.Sensors)
 	}
-	r, _ = truth.Dims()
-	if r != 27 {
+	truth := mat.NewDense(len(d.Truth.Values), d.Truth.Grid.N)
+	for i, row := range d.Truth.Values {
+		truth.SetRow(i, row)
+	}
+	if r := truth.Rows(); r != 27 {
 		t.Errorf("truth rows = %d", r)
 	}
 	if f := FiniteFraction(truth); f < 0.999 {
 		t.Errorf("truth finite fraction = %v, want ~1", f)
 	}
-	if f := FiniteFraction(temps); f >= 1 || f < 0.4 {
+	if f := FiniteFraction(md.Temps); f >= 1 || f < 0.4 {
 		t.Errorf("temps finite fraction = %v, want in (0.4, 1)", f)
 	}
 }
 
 func TestValidColumnsAndCollect(t *testing.T) {
 	d := mustGenerate(t, smallConfig())
-	mask, err := d.ValidColumns()
+	md, err := NewModelData(d.Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mask := md.Valid
 	if len(mask) != d.Frame.Grid.N {
 		t.Fatalf("mask length = %d", len(mask))
 	}
-	temps, err := d.TempsMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
 	seg := timeseries.Segment{Start: 0, End: d.Frame.Grid.N}
-	coll := CollectValid(temps, mask, []timeseries.Segment{seg})
+	coll := CollectValid(md.Temps, mask, []timeseries.Segment{seg})
 	_, cols := coll.Dims()
 	var wantCols int
 	for _, ok := range mask {
@@ -282,6 +279,9 @@ func TestValidColumnsAndCollect(t *testing.T) {
 	}
 	if f := FiniteFraction(coll); f != 1 {
 		t.Errorf("collected finite fraction = %v, want 1", f)
+	}
+	if f := FiniteFraction(CollectValid(md.Inputs, mask, []timeseries.Segment{seg})); f != 1 {
+		t.Errorf("collected input finite fraction = %v, want 1", f)
 	}
 }
 
@@ -317,10 +317,7 @@ func TestFullScaleTrace(t *testing.T) {
 		t.Skip("full 98-day trace generation in -short mode")
 	}
 	d := mustGenerate(t, DefaultConfig())
-	days, err := d.UsableDays(Occupied, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	days := usableOccupied(t, d)
 	// The paper keeps 64 of 98 days; the simulated failure plan should
 	// land in the same regime.
 	if len(days) < 50 || len(days) > 85 {
@@ -401,17 +398,11 @@ func TestNodeFailuresReduceUsableDays(t *testing.T) {
 	base.NumLongOutages = 0
 	base.NumShortOutages = 0
 	clean := mustGenerate(t, base)
-	cleanDays, err := clean.UsableDays(Occupied, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanDays := usableOccupied(t, clean)
 	failing := base
 	failing.NodeFailureProb = 1 // every wireless node dies once
 	broken := mustGenerate(t, failing)
-	brokenDays, err := broken.UsableDays(Occupied, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	brokenDays := usableOccupied(t, broken)
 	if len(brokenDays) >= len(cleanDays) {
 		t.Errorf("node failures left %d usable days vs %d without; want fewer",
 			len(brokenDays), len(cleanDays))

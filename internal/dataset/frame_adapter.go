@@ -2,12 +2,13 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"auditherm/internal/mat"
+	"auditherm/internal/sysid"
 	"auditherm/internal/timeseries"
 )
 
@@ -21,9 +22,9 @@ func ClassifyChannels(channels []string) (sensors, inputs []string, err error) {
 	var hasOcc, hasLight, hasAmbient bool
 	for _, c := range channels {
 		switch {
-		case strings.HasPrefix(c, "s") && len(c) > 1 && isDigits(c[1:]):
+		case strings.HasPrefix(c, "s") && isDigits(c[1:]):
 			sensors = append(sensors, c)
-		case strings.HasPrefix(c, "vav"):
+		case strings.HasPrefix(c, "vav") && isDigits(c[3:]):
 			vavs = append(vavs, c)
 		case c == ChannelOccupancy:
 			hasOcc = true
@@ -37,9 +38,16 @@ func ClassifyChannels(channels []string) (sensors, inputs []string, err error) {
 		return nil, nil, fmt.Errorf("dataset: no sensor channels (s<N>) found")
 	}
 	if len(vavs) == 0 || !hasOcc || !hasLight || !hasAmbient {
-		return nil, nil, fmt.Errorf("dataset: missing input channels (need vav*, occ, light, ambient)")
+		return nil, nil, fmt.Errorf("dataset: missing input channels (need vav<N>, occ, light, ambient)")
 	}
-	sort.Slice(vavs, func(i, j int) bool { return vavs[i] < vavs[j] })
+	sort.Slice(vavs, func(i, j int) bool {
+		ni, _ := strconv.Atoi(vavs[i][3:])
+		nj, _ := strconv.Atoi(vavs[j][3:])
+		if ni != nj {
+			return ni < nj
+		}
+		return vavs[i] < vavs[j]
+	})
 	inputs = append(vavs, ChannelOccupancy, ChannelLight, ChannelAmbient)
 	return sensors, inputs, nil
 }
@@ -79,8 +87,49 @@ func FrameMatrices(f *timeseries.Frame) (temps, inputs *mat.Dense, sensors []str
 	return temps, inputs, sensors, nil
 }
 
+// ModelData is a frame in the form the thermal models consume: the
+// temperature and input matrices, the names of the temperature rows and
+// the one valid-step mask that every split and collection reads.
+type ModelData struct {
+	sysid.Data
+	// Sensors names the rows of Temps.
+	Sensors []string
+	// Grid is the frame's time grid.
+	Grid timeseries.Grid
+	// Valid marks the steps where every temperature and every input is
+	// finite (sysid.Data.ValidMask, the rule sysid.Fit applies to its
+	// equations); a step with any NaN or ±Inf is missing.
+	Valid []bool
+}
+
+// NewModelData builds the model view of a frame.
+func NewModelData(f *timeseries.Frame) (*ModelData, error) {
+	temps, inputs, sensors, err := FrameMatrices(f)
+	if err != nil {
+		return nil, err
+	}
+	data := sysid.Data{Temps: temps, Inputs: inputs}
+	valid, err := data.ValidMask()
+	if err != nil {
+		return nil, err
+	}
+	return &ModelData{Data: data, Sensors: sensors, Grid: f.Grid, Valid: valid}, nil
+}
+
+// Split is the train/validation rule of every model identification:
+// keep the mode windows that are missing on at most maxMissing of their
+// steps, and split them into halves in time order (the first half
+// trains). The paper keeps 64 of its 98 days this way and splits them
+// 32/32.
+func (m *ModelData) Split(mode Mode, onHour, offHour int, maxMissing float64) (train, valid []timeseries.Segment) {
+	wins := GridModeWindows(m.Grid, mode, onHour, offHour)
+	return SplitWindows(UsableWindows(m.Valid, wins, maxMissing))
+}
+
 // GridModeWindows returns the per-day windows of the given mode across
-// a whole grid, using the HVAC schedule hours.
+// a whole grid, using the HVAC schedule hours. The unoccupied window of
+// day i spans the off hour of day i to the on hour of day i+1; the last
+// window clips at the grid end. An unknown mode has no windows.
 func GridModeWindows(g timeseries.Grid, mode Mode, onHour, offHour int) []timeseries.Segment {
 	spd := int(24 * time.Hour / g.Step)
 	days := g.N / spd
@@ -92,10 +141,13 @@ func GridModeWindows(g timeseries.Grid, mode Mode, onHour, offHour int) []timese
 	var out []timeseries.Segment
 	for day := 0; day < days; day++ {
 		var seg timeseries.Segment
-		if mode == Occupied {
+		switch mode {
+		case Occupied:
 			seg = timeseries.Segment{Start: day*spd + onStep, End: day*spd + offStep}
-		} else {
+		case Unoccupied:
 			seg = timeseries.Segment{Start: day*spd + offStep, End: (day+1)*spd + onStep}
+		default:
+			return nil
 		}
 		if seg.Start >= g.N {
 			break
@@ -108,32 +160,21 @@ func GridModeWindows(g timeseries.Grid, mode Mode, onHour, offHour int) []timese
 	return out
 }
 
-// UsableWindows keeps the windows whose missing fraction (any of the
-// given matrices' rows absent) is at most maxMissing.
-func UsableWindows(mats []*mat.Dense, wins []timeseries.Segment, maxMissing float64) []timeseries.Segment {
+// UsableWindows keeps the non-empty windows whose fraction of invalid
+// steps (valid[k] false) is at most maxMissing.
+func UsableWindows(valid []bool, wins []timeseries.Segment, maxMissing float64) []timeseries.Segment {
 	var out []timeseries.Segment
 	for _, w := range wins {
-		total := w.Len()
-		if total == 0 {
+		if w.Len() == 0 {
 			continue
 		}
 		missing := 0
-		for k := w.Start; k < w.End; k++ {
-			ok := true
-		scan:
-			for _, m := range mats {
-				for i := 0; i < m.Rows(); i++ {
-					if math.IsNaN(m.At(i, k)) {
-						ok = false
-						break scan
-					}
-				}
-			}
+		for _, ok := range valid[w.Start:w.End] {
 			if !ok {
 				missing++
 			}
 		}
-		if float64(missing)/float64(total) <= maxMissing {
+		if float64(missing)/float64(w.Len()) <= maxMissing {
 			out = append(out, w)
 		}
 	}
@@ -141,8 +182,9 @@ func UsableWindows(mats []*mat.Dense, wins []timeseries.Segment, maxMissing floa
 }
 
 // SplitWindows divides windows into train and validation halves in
-// order.
+// order. The train half is capped at its length, so appending to it
+// never overwrites the validation half.
 func SplitWindows(wins []timeseries.Segment) (train, valid []timeseries.Segment) {
 	half := len(wins) / 2
-	return wins[:half], wins[half:]
+	return wins[:half:half], wins[half:]
 }

@@ -5,13 +5,12 @@ import (
 	"testing"
 	"time"
 
-	"auditherm/internal/mat"
 	"auditherm/internal/timeseries"
 )
 
 func TestClassifyChannels(t *testing.T) {
 	sensors, inputs, err := ClassifyChannels([]string{
-		"s3", "s41", "vav2", "vav1", "occ", "light", "ambient", "supply", "co2", "rh3", "junk",
+		"s3", "s41", "vav2", "vav10", "vav1", "vav12", "occ", "light", "ambient", "supply", "co2", "rh3", "vavx", "junk",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -19,8 +18,9 @@ func TestClassifyChannels(t *testing.T) {
 	if len(sensors) != 2 || sensors[0] != "s3" || sensors[1] != "s41" {
 		t.Errorf("sensors = %v", sensors)
 	}
-	// VAVs sorted, then occ/light/ambient; rh/co2/supply/junk ignored.
-	want := []string{"vav1", "vav2", "occ", "light", "ambient"}
+	// VAVs sorted numerically, then occ/light/ambient; rh/co2/supply,
+	// vavx and junk ignored.
+	want := []string{"vav1", "vav2", "vav10", "vav12", "occ", "light", "ambient"}
 	if len(inputs) != len(want) {
 		t.Fatalf("inputs = %v", inputs)
 	}
@@ -101,24 +101,76 @@ func TestGridModeWindows(t *testing.T) {
 }
 
 func TestUsableWindowsAndSplit(t *testing.T) {
-	m := mat.NewDense(1, 10)
-	for k := 0; k < 10; k++ {
-		m.Set(0, k, 20)
+	valid := make([]bool, 10)
+	for k := range valid {
+		valid[k] = true
 	}
-	m.Set(0, 3, math.NaN())
+	valid[3] = false
 	wins := []timeseries.Segment{{Start: 0, End: 5}, {Start: 5, End: 10}, {Start: 10, End: 10}}
 	// Window 1 misses 1 of 5 (20% > 10%); window 2 is clean; window 3
 	// is empty.
-	usable := UsableWindows([]*mat.Dense{m}, wins, 0.1)
+	usable := UsableWindows(valid, wins, 0.1)
 	if len(usable) != 1 || usable[0].Start != 5 {
 		t.Errorf("usable = %+v", usable)
 	}
-	usable = UsableWindows([]*mat.Dense{m}, wins, 0.25)
+	usable = UsableWindows(valid, wins, 0.25)
 	if len(usable) != 2 {
 		t.Errorf("relaxed usable = %+v", usable)
 	}
-	train, valid := SplitWindows(usable)
-	if len(train) != 1 || len(valid) != 1 {
-		t.Errorf("split = %d/%d", len(train), len(valid))
+	train, validWins := SplitWindows(usable)
+	if len(train) != 1 || len(validWins) != 1 {
+		t.Errorf("split = %d/%d", len(train), len(validWins))
+	}
+
+	// A sensor stuck at +Inf counts as missing, exactly as it does for
+	// sysid.Fit: one day whose first occupied hour reads +Inf (4 of 60
+	// steps, 6.7%) stays usable, one whose first three hours do (12 of
+	// 60, 20%) does not.
+	g, err := timeseries.NewGrid(
+		time.Date(2013, time.February, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2013, time.February, 3, 0, 0, 0, 0, time.UTC),
+		15*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := timeseries.NewFrame(g, []string{"s1", "s2", "vav1", "occ", "light", "ambient"})
+	for _, ch := range f.Channels {
+		vals := make([]float64, g.N)
+		for k := range vals {
+			vals[k] = 20
+		}
+		if ch == "s2" {
+			for k := 24; k < 28; k++ {
+				vals[k] = math.Inf(1)
+			}
+			for k := 96 + 24; k < 96+36; k++ {
+				vals[k] = math.Inf(1)
+			}
+		}
+		if err := f.SetChannel(ch, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	md, err := NewModelData(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	occ := GridModeWindows(g, Occupied, 6, 21)
+	usable = UsableWindows(md.Valid, occ, 0.1)
+	if len(usable) != 1 || usable[0] != occ[0] {
+		t.Errorf("usable with +Inf = %+v, want only %+v", usable, occ[0])
+	}
+}
+
+func TestSplitWindowsDoesNotAlias(t *testing.T) {
+	wins := []timeseries.Segment{{Start: 0, End: 1}, {Start: 1, End: 2}, {Start: 2, End: 3}, {Start: 3, End: 4}}
+	train, valid := SplitWindows(wins)
+	want := valid[0]
+	train = append(train, timeseries.Segment{Start: 9, End: 10})
+	if valid[0] != want {
+		t.Errorf("appending to train rewrote valid[0]: %+v, want %+v", valid[0], want)
+	}
+	if len(train) != 3 || train[2].Start != 9 {
+		t.Errorf("train = %+v", train)
 	}
 }

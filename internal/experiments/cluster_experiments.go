@@ -42,10 +42,7 @@ func Figure6(e *Env) (euclid, corr *ClusteringResult, err error) {
 // clusterWith runs spectral clustering on the training traces; pass
 // k <= 0 for eigengap selection.
 func (e *Env) clusterWith(metric cluster.Metric, k int) (*ClusteringResult, error) {
-	x, err := e.WirelessTrainTraces()
-	if err != nil {
-		return nil, err
-	}
+	x := e.WirelessTrainTraces()
 	w, err := cluster.SimilarityMatrixOpts(x, metric, cluster.SimilarityOptions{
 		CorrelationSharpness: CorrelationSharpness,
 	})
@@ -122,10 +119,7 @@ func IntraCluster(e *Env, metric cluster.Metric, k int) (*IntraClusterResult, er
 	if err != nil {
 		return nil, err
 	}
-	wins, err := e.ValidWindows(dataset.Occupied)
-	if err != nil {
-		return nil, err
-	}
+	wins := e.ValidWindows(dataset.Occupied)
 	all := e.AllValidTraces(wins)
 	cols := make([]int, all.Cols())
 	for i := range cols {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -59,11 +60,7 @@ func ControlStudy(e *Env, days int) (*ControlStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainWins, err := excEnv.Dataset.Windows(dataset.Occupied,
-		append(append([]int{}, excEnv.OccTrainDays...), excEnv.OccValidDays...))
-	if err != nil {
-		return nil, err
-	}
+	trainWins := slices.Concat(excEnv.OccTrain, excEnv.OccValid)
 	fullModel, err := sysid.Fit(data, trainWins, sysid.SecondOrder, sysid.DefaultOptions())
 	if err != nil {
 		return nil, err

@@ -5,7 +5,7 @@
 // (Table II, Figs. 9-11).
 //
 // Each experiment is a pure function of an Env, the generated dataset
-// plus its derived matrices and train/validation day split. Shared()
+// plus its derived matrices and train/validation window split. Shared()
 // caches one default Env per process because dataset generation costs
 // a few seconds.
 package experiments
@@ -20,8 +20,9 @@ import (
 	"auditherm/internal/timeseries"
 )
 
-// MaxMissingFraction is the per-day missing-data budget above which a
-// day is discarded, mirroring the paper's exclusion of failure days.
+// MaxMissingFraction is the per-window missing-data budget above which
+// a day's mode window is discarded, mirroring the paper's exclusion of
+// failure days.
 const MaxMissingFraction = 0.1
 
 // CorrelationSharpness is the correlation-kernel exponent used by the
@@ -33,17 +34,16 @@ const CorrelationSharpness = 8
 type Env struct {
 	// Dataset is the generated trace.
 	Dataset *dataset.Dataset
-	// Temps is all 27 temperature channels by grid step.
-	Temps *mat.Dense
-	// Inputs is the 7 model inputs by grid step.
-	Inputs *mat.Dense
-	// Valid marks grid steps where every core channel is present.
-	Valid []bool
+	// ModelData holds the frame's 27 temperature rows (Temps, in
+	// Dataset.Sensors order), its 7 model inputs (Inputs) and the
+	// valid-step mask (Valid).
+	*dataset.ModelData
 	// WirelessIdx and ThermoIdx are row indices into Temps.
 	WirelessIdx, ThermoIdx []int
-	// Train/validation day splits per mode.
-	OccTrainDays, OccValidDays     []int
-	UnoccTrainDays, UnoccValidDays []int
+	// Train/validation windows per mode: the usable mode windows split
+	// in time order (dataset.ModelData.Split).
+	OccTrain, OccValid     []timeseries.Segment
+	UnoccTrain, UnoccValid []timeseries.Segment
 }
 
 // NewEnv generates a dataset and derives the experiment inputs.
@@ -59,19 +59,11 @@ func NewEnv(cfg dataset.Config) (*Env, error) {
 // dataset — freshly generated or rehydrated from the artifact store;
 // both yield the same matrices, splits and downstream results.
 func NewEnvFromDataset(d *dataset.Dataset) (*Env, error) {
-	temps, err := d.TempsMatrix()
+	md, err := dataset.NewModelData(d.Frame)
 	if err != nil {
 		return nil, err
 	}
-	inputs, err := d.InputsMatrix()
-	if err != nil {
-		return nil, err
-	}
-	valid, err := d.ValidColumns()
-	if err != nil {
-		return nil, err
-	}
-	env := &Env{Dataset: d, Temps: temps, Inputs: inputs, Valid: valid}
+	env := &Env{Dataset: d, ModelData: md}
 	for i, sp := range d.Sensors {
 		if sp.Thermostat {
 			env.ThermoIdx = append(env.ThermoIdx, i)
@@ -79,17 +71,10 @@ func NewEnvFromDataset(d *dataset.Dataset) (*Env, error) {
 			env.WirelessIdx = append(env.WirelessIdx, i)
 		}
 	}
-	occDays, err := d.UsableDays(dataset.Occupied, MaxMissingFraction)
-	if err != nil {
-		return nil, err
-	}
-	env.OccTrainDays, env.OccValidDays = dataset.SplitDays(occDays)
-	unoccDays, err := d.UsableDays(dataset.Unoccupied, MaxMissingFraction)
-	if err != nil {
-		return nil, err
-	}
-	env.UnoccTrainDays, env.UnoccValidDays = dataset.SplitDays(unoccDays)
-	if len(env.OccTrainDays) == 0 || len(env.OccValidDays) == 0 {
+	on, off := d.Config.HVAC.OnHour, d.Config.HVAC.OffHour
+	env.OccTrain, env.OccValid = md.Split(dataset.Occupied, on, off, MaxMissingFraction)
+	env.UnoccTrain, env.UnoccValid = md.Split(dataset.Unoccupied, on, off, MaxMissingFraction)
+	if len(env.OccTrain) == 0 || len(env.OccValid) == 0 {
 		return nil, fmt.Errorf("experiments: no usable occupied days in trace")
 	}
 	return env, nil
@@ -110,22 +95,20 @@ func Shared() (*Env, error) {
 	return sharedEnv, sharedErr
 }
 
-// TrainWindows returns the mode windows of the training days.
-func (e *Env) TrainWindows(mode dataset.Mode) ([]timeseries.Segment, error) {
-	days := e.OccTrainDays
+// TrainWindows returns the mode's training windows.
+func (e *Env) TrainWindows(mode dataset.Mode) []timeseries.Segment {
 	if mode == dataset.Unoccupied {
-		days = e.UnoccTrainDays
+		return e.UnoccTrain
 	}
-	return e.Dataset.Windows(mode, days)
+	return e.OccTrain
 }
 
-// ValidWindows returns the mode windows of the validation days.
-func (e *Env) ValidWindows(mode dataset.Mode) ([]timeseries.Segment, error) {
-	days := e.OccValidDays
+// ValidWindows returns the mode's validation windows.
+func (e *Env) ValidWindows(mode dataset.Mode) []timeseries.Segment {
 	if mode == dataset.Unoccupied {
-		days = e.UnoccValidDays
+		return e.UnoccValid
 	}
-	return e.Dataset.Windows(mode, days)
+	return e.OccValid
 }
 
 // HorizonSteps converts a wall-clock horizon to grid steps.
@@ -139,17 +122,13 @@ const PaperHorizon = 13*time.Hour + 30*time.Minute
 // WirelessTrainTraces collects the wireless sensors' gap-free training
 // columns (occupied mode): the matrix the clustering experiments run
 // on. Row order follows WirelessIdx.
-func (e *Env) WirelessTrainTraces() (*mat.Dense, error) {
-	wins, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		return nil, err
-	}
-	all := dataset.CollectValid(e.Temps, e.Valid, wins)
+func (e *Env) WirelessTrainTraces() *mat.Dense {
+	all := dataset.CollectValid(e.Temps, e.Valid, e.OccTrain)
 	cols := make([]int, all.Cols())
 	for i := range cols {
 		cols[i] = i
 	}
-	return all.SubMatrix(e.WirelessIdx, cols), nil
+	return all.SubMatrix(e.WirelessIdx, cols)
 }
 
 // AllValidTraces collects every sensor's gap-free columns over the

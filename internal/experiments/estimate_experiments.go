@@ -33,11 +33,8 @@ const warmupSteps = 8
 
 // VirtualSensing runs the Kalman-filter reconstruction study.
 func VirtualSensing(e *Env) (*VirtualSensingResult, error) {
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	trainWins, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		return nil, err
-	}
+	data := e.Data
+	trainWins := e.TrainWindows(dataset.Occupied)
 	model, err := sysid.Fit(data, trainWins, sysid.SecondOrder, sysid.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -67,14 +64,8 @@ func VirtualSensing(e *Env) (*VirtualSensingResult, error) {
 		repOf[tr] = reps[0]
 	}
 
-	validWins, err := e.ValidWindows(dataset.Occupied)
-	if err != nil {
-		return nil, err
-	}
-	mask, err := data.ValidMask()
-	if err != nil {
-		return nil, err
-	}
+	validWins := e.ValidWindows(dataset.Occupied)
+	mask := e.Valid
 	observed := map[int]bool{}
 	for _, r := range reps {
 		observed[r] = true

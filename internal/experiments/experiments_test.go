@@ -28,9 +28,9 @@ func TestEnvShape(t *testing.T) {
 	if len(e.WirelessIdx) != 25 || len(e.ThermoIdx) != 2 {
 		t.Fatalf("sensor split = %d wireless + %d thermostats", len(e.WirelessIdx), len(e.ThermoIdx))
 	}
-	if len(e.OccTrainDays) < 20 || len(e.OccValidDays) < 20 {
+	if len(e.OccTrain) < 20 || len(e.OccValid) < 20 {
 		t.Errorf("occupied split = %d train / %d valid days, want ~32/32",
-			len(e.OccTrainDays), len(e.OccValidDays))
+			len(e.OccTrain), len(e.OccValid))
 	}
 	if got := e.HorizonSteps(PaperHorizon); got != 54 {
 		t.Errorf("13.5h horizon = %d steps, want 54", got)
@@ -489,23 +489,14 @@ func TestSmootherInfillsRealGaps(t *testing.T) {
 	// noise-free ground truth would punish both methods for the
 	// sensor's own calibration offset).
 	e := sharedEnvT(t)
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	trainWins, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := e.Data
+	trainWins := e.TrainWindows(dataset.Occupied)
 	model, err := sysid.Fit(data, trainWins, sysid.SecondOrder, sysid.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	validWins, err := e.ValidWindows(dataset.Occupied)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask, err := data.ValidMask()
-	if err != nil {
-		t.Fatal(err)
-	}
+	validWins := e.ValidWindows(dataset.Occupied)
+	mask := e.Valid
 	var smErrs, holdErrs []float64
 	evaluated := 0
 	for _, w := range validWins {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,12 +17,7 @@ import (
 // fitMode identifies a model of the given order on the mode's training
 // windows.
 func (e *Env) fitMode(mode dataset.Mode, order sysid.Order) (*sysid.Model, error) {
-	wins, err := e.TrainWindows(mode)
-	if err != nil {
-		return nil, err
-	}
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	m, err := sysid.Fit(data, wins, order, sysid.DefaultOptions())
+	m, err := sysid.Fit(e.Data, e.TrainWindows(mode), order, sysid.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fitting %v %v model: %w", mode, order, err)
 	}
@@ -30,12 +26,7 @@ func (e *Env) fitMode(mode dataset.Mode, order sysid.Order) (*sysid.Model, error
 
 // evalMode evaluates a model on the mode's validation windows.
 func (e *Env) evalMode(m *sysid.Model, mode dataset.Mode, horizon int) (*sysid.EvalResult, error) {
-	wins, err := e.ValidWindows(mode)
-	if err != nil {
-		return nil, err
-	}
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
-	return sysid.Evaluate(m, data, wins, horizon)
+	return sysid.Evaluate(m, e.Data, e.ValidWindows(mode), horizon)
 }
 
 // TableIResult reproduces Table I: the 90th-percentile per-sensor RMS
@@ -234,13 +225,9 @@ func Figure4(e *Env) (*Figure4Result, error) {
 	if row < 0 {
 		return nil, fmt.Errorf("experiments: sensor 1 missing from layout")
 	}
-	day := e.OccValidDays[0]
-	win, err := e.Dataset.Window(dataset.Occupied, day)
-	if err != nil {
-		return nil, err
-	}
+	win := e.OccValid[0]
 	res := &Figure4Result{SensorID: 1}
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
+	data := e.Data
 	var lastStep int
 	for _, order := range []sysid.Order{sysid.FirstOrder, sysid.SecondOrder} {
 		m, err := e.fitMode(dataset.Occupied, order)
@@ -306,17 +293,13 @@ func Figure5(e *Env) (*Figure5Result, error) {
 		TrainDays:    []int{13, 27, 34, 44, 58},
 		PredictHours: []float64{2.5, 5, 7.5, 10, 13.5},
 	}
-	allDays := append(append([]int{}, e.OccTrainDays...), e.OccValidDays...)
+	all := slices.Concat(e.OccTrain, e.OccValid)
 	// Validate the training sweep on one held-out day: the last usable
 	// day. Each horizon trains on the nd most recent days before it,
 	// which is how an online deployment would use a growing history.
-	validDay := allDays[len(allDays)-1]
-	history := allDays[:len(allDays)-1]
-	validWin, err := e.Dataset.Window(dataset.Occupied, validDay)
-	if err != nil {
-		return nil, err
-	}
-	data := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}
+	validWin := all[len(all)-1]
+	history := all[:len(all)-1]
+	data := e.Data
 	horizon := e.HorizonSteps(PaperHorizon)
 	res.ValidationDays = 1
 	for oi, order := range []sysid.Order{sysid.FirstOrder, sysid.SecondOrder} {
@@ -324,11 +307,7 @@ func Figure5(e *Env) (*Figure5Result, error) {
 			if nd > len(history) {
 				nd = len(history)
 			}
-			wins, err := e.Dataset.Windows(dataset.Occupied, history[len(history)-nd:])
-			if err != nil {
-				return nil, err
-			}
-			m, err := sysid.Fit(data, wins, order, sysid.DefaultOptions())
+			m, err := sysid.Fit(data, history[len(history)-nd:], order, sysid.DefaultOptions())
 			if err != nil {
 				return nil, err
 			}

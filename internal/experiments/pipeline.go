@@ -39,7 +39,7 @@ type EnvSource struct {
 // NewEnvSource registers the dataset simulate stage on the engine and
 // wraps it as the lazy environment provider for experiment stages.
 func NewEnvSource(e *pipeline.Engine, cfg dataset.Config) *EnvSource {
-	return &EnvSource{ds: pipeline.Simulate(e, cfg)}
+	return &EnvSource{ds: pipeline.SimulateNamed(e, "simulate", cfg)}
 }
 
 // DatasetNode exposes the underlying dataset stage for dependency
@@ -127,9 +127,9 @@ func SummaryReport(e *pipeline.Engine, src *EnvSource) *pipeline.Node[*Report] {
 			if err != nil {
 				return nil, err
 			}
-			occ := len(env.OccTrainDays) + len(env.OccValidDays)
+			occ := len(env.OccTrain) + len(env.OccValid)
 			text := fmt.Sprintf("dataset ready: %d usable occupied days (%d train / %d valid)\n",
-				occ, len(env.OccTrainDays), len(env.OccValidDays))
+				occ, len(env.OccTrain), len(env.OccValid))
 			return &Report{
 				ID:   "summary",
 				Text: text,

@@ -36,14 +36,8 @@ func (e *Env) newSelectionContext(k int) (*selectionContext, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainX, err := e.WirelessTrainTraces()
-	if err != nil {
-		return nil, err
-	}
-	wins, err := e.ValidWindows(dataset.Occupied)
-	if err != nil {
-		return nil, err
-	}
+	trainX := e.WirelessTrainTraces()
+	wins := e.ValidWindows(dataset.Occupied)
 	return &selectionContext{
 		k:             cl.K,
 		membersLocal:  cl.members,
@@ -487,19 +481,13 @@ func flattenReps(sel [][]int) []int {
 // its free-run predictions against the true cluster-mean temperature
 // on the validation windows.
 func (e *Env) reducedModelError99(sc *selectionContext, reps []int) (float64, error) {
-	reduced := sysid.Data{Temps: e.Temps, Inputs: e.Inputs}.SelectSensors(reps)
-	trainWins, err := e.TrainWindows(dataset.Occupied)
-	if err != nil {
-		return 0, err
-	}
+	reduced := e.Data.SelectSensors(reps)
+	trainWins := e.TrainWindows(dataset.Occupied)
 	model, err := sysid.Fit(reduced, trainWins, sysid.SecondOrder, sysid.DefaultOptions())
 	if err != nil {
 		return 0, err
 	}
-	validWins, err := e.ValidWindows(dataset.Occupied)
-	if err != nil {
-		return 0, err
-	}
+	validWins := e.ValidWindows(dataset.Occupied)
 	var errs []float64
 	for _, w := range validWins {
 		pred, _, first, err := sysid.PredictWindow(model, reduced, w)

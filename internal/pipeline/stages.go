@@ -22,13 +22,10 @@ import (
 )
 
 // HashJSON derives a config-hash entry from any JSON-marshalable
-// configuration struct, for packages (e.g. fleet) composing their own
-// stages on top of this engine.
-func HashJSON(v any) string { return hashJSON(v) }
-
-// hashJSON derives a config-hash entry from any JSON-marshalable
-// configuration struct (struct field order makes this deterministic).
-func hashJSON(v any) string {
+// configuration struct (struct field order makes this deterministic),
+// for this package's stages and for packages (e.g. fleet) composing
+// their own stages on top of this engine.
+func HashJSON(v any) string {
 	b, err := json.Marshal(v)
 	if err != nil {
 		// Configs are plain data; a marshal failure is a programming
@@ -43,37 +40,30 @@ func hashJSON(v any) string {
 // testbed trace.
 // ---------------------------------------------------------------------
 
-// Simulate defines the dataset-generation stage over the full
+// SimulateNamed defines the dataset-generation stage over the full
 // generation config. The artifact is the complete dataset (frame,
 // ground truth, schedule, outage plan), so every downstream stage and
 // the experiments Env rehydrate from it bit-identically.
-func Simulate(e *Engine, cfg dataset.Config) *Node[*dataset.Dataset] {
-	return SimulateNamed(e, "simulate", cfg)
-}
-
-// SimulateNamed is Simulate under an explicit node name. Node names
-// are unique per engine and part of every cache key, so fleet runs
-// namespace each building's stages ("b0007/simulate") on one shared
-// engine.
+//
+// Node names are unique per engine and part of every cache key. The
+// single-building tools name their stages after the stage ("simulate",
+// "frame", "sysid", "evaluate", "cluster", "select", "control"); fleet
+// runs namespace each building's stages ("b0007/simulate") on one
+// shared engine.
 func SimulateNamed(e *Engine, name string, cfg dataset.Config) *Node[*dataset.Dataset] {
 	return Define(e, name, artifact.DatasetCodec,
-		map[string]string{"dataset_config": hashJSON(cfg)},
+		map[string]string{"dataset_config": HashJSON(cfg)},
 		nil,
 		func(ctx context.Context) (*dataset.Dataset, error) {
 			return dataset.Generate(cfg)
 		})
 }
 
-// DatasetFrame defines the stage that extracts the identification
+// DatasetFrameNamed defines the stage that extracts the identification
 // frame from a generated dataset — the bridge between the simulation
 // and the analysis stages, persisted under the frame codec so
 // downstream keys match whether the frame came from a simulation or an
 // external CSV with identical content.
-func DatasetFrame(e *Engine, ds *Node[*dataset.Dataset]) *Node[*timeseries.Frame] {
-	return DatasetFrameNamed(e, "frame", ds)
-}
-
-// DatasetFrameNamed is DatasetFrame under an explicit node name.
 func DatasetFrameNamed(e *Engine, name string, ds *Node[*dataset.Dataset]) *Node[*timeseries.Frame] {
 	return Define(e, name, artifact.FrameCodec,
 		nil,
@@ -131,59 +121,51 @@ type IdentifyConfig struct {
 	MinWindows int
 }
 
-// splitUsable computes the usable mode windows of a frame and their
-// train/validation halves — the shared pre-processing of the SysID
-// stages.
-func splitUsable(f *timeseries.Frame, cfg IdentifyConfig) (temps, inputs *mat.Dense, sensors []string, train, valid []timeseries.Segment, err error) {
-	temps, inputs, sensors, err = dataset.FrameMatrices(f)
+// split returns the model view of a frame and the train/validation
+// halves of its usable mode windows (dataset.ModelData.Split), failing
+// when fewer than MinWindows windows are usable.
+func (cfg IdentifyConfig) split(f *timeseries.Frame) (md *dataset.ModelData, train, valid []timeseries.Segment, err error) {
+	md, err = dataset.NewModelData(f)
 	if err != nil {
-		return
+		return nil, nil, nil, err
 	}
-	wins := dataset.GridModeWindows(f.Grid, cfg.Mode, cfg.OnHour, cfg.OffHour)
-	usable := dataset.UsableWindows([]*mat.Dense{temps, inputs}, wins, cfg.MaxMissing)
+	train, valid = md.Split(cfg.Mode, cfg.OnHour, cfg.OffHour, cfg.MaxMissing)
 	minW := cfg.MinWindows
 	if minW <= 0 {
 		minW = 4
 	}
-	if len(usable) < minW {
-		err = fmt.Errorf("pipeline: only %d usable %v windows; need at least %d", len(usable), cfg.Mode, minW)
-		return
+	if n := len(train) + len(valid); n < minW {
+		return nil, nil, nil, fmt.Errorf("pipeline: only %d usable %v windows; need at least %d", n, cfg.Mode, minW)
 	}
-	train, valid = dataset.SplitWindows(usable)
-	return
+	return md, train, valid, nil
 }
 
-// Identify defines the model-identification stage: piecewise least
-// squares over the training half of the usable mode windows.
-func Identify(e *Engine, frame *Node[*timeseries.Frame], cfg IdentifyConfig) *Node[*artifact.SavedModel] {
-	return IdentifyNamed(e, "sysid", frame, cfg)
-}
-
-// IdentifyNamed is Identify under an explicit node name.
+// IdentifyNamed defines the model-identification stage: piecewise
+// least squares over the training half of the usable mode windows.
 func IdentifyNamed(e *Engine, name string, frame *Node[*timeseries.Frame], cfg IdentifyConfig) *Node[*artifact.SavedModel] {
 	return Define(e, name, artifact.ModelCodec,
-		map[string]string{"identify_config": hashJSON(cfg)},
+		map[string]string{"identify_config": HashJSON(cfg)},
 		[]AnyNode{frame},
 		func(ctx context.Context) (*artifact.SavedModel, error) {
 			f, err := frame.Get(ctx)
 			if err != nil {
 				return nil, err
 			}
-			temps, inputs, sensors, train, _, err := splitUsable(f, cfg)
+			md, train, _, err := cfg.split(f)
 			if err != nil {
 				return nil, err
 			}
-			model, err := sysid.Fit(sysid.Data{Temps: temps, Inputs: inputs}, train, cfg.Order, sysid.DefaultOptions())
+			model, err := sysid.Fit(md.Data, train, cfg.Order, sysid.DefaultOptions())
 			if err != nil {
 				return nil, err
 			}
-			inputNames := make([]string, inputs.Rows())
+			inputNames := make([]string, md.Inputs.Rows())
 			for i := range inputNames {
 				inputNames[i] = fmt.Sprintf("u%d", i+1)
 			}
 			return &artifact.SavedModel{
 				Model: model,
-				Names: &sysid.ModelNames{Sensors: sensors, Inputs: inputNames},
+				Names: &sysid.ModelNames{Sensors: md.Sensors, Inputs: inputNames},
 			}, nil
 		})
 }
@@ -214,17 +196,12 @@ func (a *EvalArtifact) RMSPercentile(q float64) (float64, error) {
 // EvalCodec persists an EvalArtifact.
 var EvalCodec = artifact.JSONCodec[*EvalArtifact]("sysid-eval", 1)
 
-// Evaluate defines the free-run evaluation stage on the validation
-// half of the usable windows.
-func Evaluate(e *Engine, frame *Node[*timeseries.Frame], model *Node[*artifact.SavedModel], cfg IdentifyConfig, horizon time.Duration) *Node[*EvalArtifact] {
-	return EvaluateNamed(e, "evaluate", frame, model, cfg, horizon)
-}
-
-// EvaluateNamed is Evaluate under an explicit node name.
+// EvaluateNamed defines the free-run evaluation stage on the
+// validation half of the usable windows.
 func EvaluateNamed(e *Engine, name string, frame *Node[*timeseries.Frame], model *Node[*artifact.SavedModel], cfg IdentifyConfig, horizon time.Duration) *Node[*EvalArtifact] {
 	return Define(e, name, EvalCodec,
 		map[string]string{
-			"identify_config": hashJSON(cfg),
+			"identify_config": HashJSON(cfg),
 			"horizon":         horizon.String(),
 		},
 		[]AnyNode{frame, model},
@@ -237,12 +214,12 @@ func EvaluateNamed(e *Engine, name string, frame *Node[*timeseries.Frame], model
 			if err != nil {
 				return nil, err
 			}
-			temps, inputs, sensors, _, valid, err := splitUsable(f, cfg)
+			md, _, valid, err := cfg.split(f)
 			if err != nil {
 				return nil, err
 			}
 			hSteps := int(horizon / f.Grid.Step)
-			ev, err := sysid.Evaluate(sm.Model, sysid.Data{Temps: temps, Inputs: inputs}, valid, hSteps)
+			ev, err := sysid.Evaluate(sm.Model, md.Data, valid, hSteps)
 			if err != nil {
 				return nil, err
 			}
@@ -251,7 +228,7 @@ func EvaluateNamed(e *Engine, name string, frame *Node[*timeseries.Frame], model
 				return nil, err
 			}
 			return &EvalArtifact{
-				Sensors:        sensors,
+				Sensors:        md.Sensors,
 				PerSensorRMS:   artifact.Floats(ev.PerSensorRMS),
 				Windows:        ev.Windows,
 				Steps:          ev.Steps,
@@ -280,50 +257,27 @@ type ClusterConfig struct {
 	MinSteps int
 }
 
-// collectOccupied gathers the gap-free occupied-mode temperature
-// columns of a frame, optionally restricted to the training half.
-func collectOccupied(f *timeseries.Frame, onHour, offHour int, trainHalf bool) (*mat.Dense, []string, error) {
-	temps, inputs, sensors, err := dataset.FrameMatrices(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows [][]float64
-	for i := 0; i < temps.Rows(); i++ {
-		rows = append(rows, temps.RawRow(i))
-	}
-	for i := 0; i < inputs.Rows(); i++ {
-		rows = append(rows, inputs.RawRow(i))
-	}
-	mask, err := timeseries.ValidMask(rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	wins := dataset.GridModeWindows(f.Grid, dataset.Occupied, onHour, offHour)
-	if trainHalf {
-		wins, _ = dataset.SplitWindows(wins)
-	}
-	return dataset.CollectValid(temps, mask, wins), sensors, nil
-}
-
-// ClusterSensors defines the spectral-clustering stage.
-func ClusterSensors(e *Engine, frame *Node[*timeseries.Frame], cfg ClusterConfig) *Node[*artifact.ClusterArtifact] {
-	return ClusterSensorsNamed(e, "cluster", frame, cfg)
-}
-
-// ClusterSensorsNamed is ClusterSensors under an explicit node name.
+// ClusterSensorsNamed defines the spectral-clustering stage.
 func ClusterSensorsNamed(e *Engine, name string, frame *Node[*timeseries.Frame], cfg ClusterConfig) *Node[*artifact.ClusterArtifact] {
 	return Define(e, name, artifact.ClusterCodec,
-		map[string]string{"cluster_config": hashJSON(cfg)},
+		map[string]string{"cluster_config": HashJSON(cfg)},
 		[]AnyNode{frame},
 		func(ctx context.Context) (*artifact.ClusterArtifact, error) {
 			f, err := frame.Get(ctx)
 			if err != nil {
 				return nil, err
 			}
-			x, sensors, err := collectOccupied(f, cfg.OnHour, cfg.OffHour, cfg.TrainHalf)
+			md, err := dataset.NewModelData(f)
 			if err != nil {
 				return nil, err
 			}
+			// Clustering and selection collect the valid steps of every
+			// occupied window, usable or not.
+			wins := dataset.GridModeWindows(f.Grid, dataset.Occupied, cfg.OnHour, cfg.OffHour)
+			if cfg.TrainHalf {
+				wins, _ = dataset.SplitWindows(wins)
+			}
+			x := dataset.CollectValid(md.Temps, md.Valid, wins)
 			minSteps := cfg.MinSteps
 			if minSteps <= 0 {
 				minSteps = 10
@@ -340,7 +294,7 @@ func ClusterSensorsNamed(e *Engine, name string, frame *Node[*timeseries.Frame],
 				return nil, err
 			}
 			art := &artifact.ClusterArtifact{
-				Sensors:     sensors,
+				Sensors:     md.Sensors,
 				Assign:      append([]int(nil), res.Assign...),
 				K:           res.K,
 				Eigenvalues: artifact.Floats(res.Eigenvalues),
@@ -391,17 +345,11 @@ func greedyMIPath(mode string) (func(cov *mat.Dense, n int) ([]int, error), erro
 	return nil, fmt.Errorf("pipeline: unknown GP mode %q (want fast, lazy or naive)", mode)
 }
 
-// SelectRepresentatives defines the representative-sensor stage over a
-// clustering.
-func SelectRepresentatives(e *Engine, frame *Node[*timeseries.Frame], clusters *Node[*artifact.ClusterArtifact], cfg SelectConfig) *Node[*artifact.SelectionArtifact] {
-	return SelectRepresentativesNamed(e, "select", frame, clusters, cfg)
-}
-
-// SelectRepresentativesNamed is SelectRepresentatives under an
-// explicit node name.
+// SelectRepresentativesNamed defines the representative-sensor stage
+// over a clustering.
 func SelectRepresentativesNamed(e *Engine, name string, frame *Node[*timeseries.Frame], clusters *Node[*artifact.ClusterArtifact], cfg SelectConfig) *Node[*artifact.SelectionArtifact] {
 	return Define(e, name, artifact.SelectionCodec,
-		map[string]string{"select_config": hashJSON(cfg)},
+		map[string]string{"select_config": HashJSON(cfg)},
 		[]AnyNode{frame, clusters},
 		func(ctx context.Context) (*artifact.SelectionArtifact, error) {
 			greedyMI, err := greedyMIPath(cfg.GPMode)
@@ -419,25 +367,14 @@ func SelectRepresentativesNamed(e *Engine, name string, frame *Node[*timeseries.
 			if err != nil {
 				return nil, err
 			}
-			temps, inputs, sensors, err := dataset.FrameMatrices(f)
+			md, err := dataset.NewModelData(f)
 			if err != nil {
 				return nil, err
 			}
-			var rows [][]float64
-			for i := 0; i < temps.Rows(); i++ {
-				rows = append(rows, temps.RawRow(i))
-			}
-			for i := 0; i < inputs.Rows(); i++ {
-				rows = append(rows, inputs.RawRow(i))
-			}
-			mask, err := timeseries.ValidMask(rows)
-			if err != nil {
-				return nil, err
-			}
-			wins := dataset.GridModeWindows(f.Grid, dataset.Occupied, cfg.OnHour, cfg.OffHour)
-			trainWins, validWins := dataset.SplitWindows(wins)
-			trainX := dataset.CollectValid(temps, mask, trainWins)
-			validX := dataset.CollectValid(temps, mask, validWins)
+			trainWins, validWins := dataset.SplitWindows(
+				dataset.GridModeWindows(f.Grid, dataset.Occupied, cfg.OnHour, cfg.OffHour))
+			trainX := dataset.CollectValid(md.Temps, md.Valid, trainWins)
+			validX := dataset.CollectValid(md.Temps, md.Valid, validWins)
 			minSteps := cfg.MinSteps
 			if minSteps <= 0 {
 				minSteps = 10
@@ -455,7 +392,7 @@ func SelectRepresentativesNamed(e *Engine, name string, frame *Node[*timeseries.
 			}
 
 			art := &artifact.SelectionArtifact{
-				Sensors:    sensors,
+				Sensors:    md.Sensors,
 				K:          ca.K,
 				TrainSteps: trainX.Cols(),
 				ValidSteps: validX.Cols(),
@@ -487,7 +424,7 @@ func SelectRepresentativesNamed(e *Engine, name string, frame *Node[*timeseries.
 					return nil, err
 				}
 				srsSum += v
-				rs, err := selection.SimpleRandom(len(sensors), ca.K, int64(seed))
+				rs, err := selection.SimpleRandom(len(md.Sensors), ca.K, int64(seed))
 				if err != nil {
 					return nil, err
 				}
@@ -570,22 +507,17 @@ type ControlSummary struct {
 // occupied/violation hour fields.
 var ControlCodec = artifact.JSONCodec[*ControlSummary]("control", 2)
 
-// ControlRun defines the closed-loop control/monitor stage. customize,
-// when non-nil, may attach side-effectful hooks (health monitor, fault
-// injection) to the loop config — the stage then runs uncached, since
-// the key cannot capture the hooks' behavior.
-func ControlRun(e *Engine, cc ControlConfig, customize func(*control.LoopConfig) error) *Node[*ControlSummary] {
-	return ControlRunNamed(e, "control", cc, customize)
-}
-
-// ControlRunNamed is ControlRun under an explicit node name.
+// ControlRunNamed defines the closed-loop control/monitor stage.
+// customize, when non-nil, may attach side-effectful hooks (health
+// monitor, fault injection) to the loop config — the stage then runs
+// uncached, since the key cannot capture the hooks' behavior.
 func ControlRunNamed(e *Engine, name string, cc ControlConfig, customize func(*control.LoopConfig) error) *Node[*ControlSummary] {
 	var opts []Opt
 	if customize != nil {
 		opts = append(opts, NoCache())
 	}
 	return Define(e, name, ControlCodec,
-		map[string]string{"control_config": hashJSON(cc)},
+		map[string]string{"control_config": HashJSON(cc)},
 		nil,
 		func(ctx context.Context) (*ControlSummary, error) {
 			var ctrl control.Controller

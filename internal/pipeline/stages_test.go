@@ -63,12 +63,12 @@ func TestPaperStagesColdWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := Simulate(e, cfg)
-		frame := DatasetFrame(e, sim)
-		model := Identify(e, frame, idCfg)
-		eval := Evaluate(e, frame, model, idCfg, time.Hour)
-		clusters := ClusterSensors(e, frame, clCfg)
-		sel := SelectRepresentatives(e, frame, clusters, selCfg)
+		sim := SimulateNamed(e, "simulate", cfg)
+		frame := DatasetFrameNamed(e, "frame", sim)
+		model := IdentifyNamed(e, "sysid", frame, idCfg)
+		eval := EvaluateNamed(e, "evaluate", frame, model, idCfg, time.Hour)
+		clusters := ClusterSensorsNamed(e, "cluster", frame, clCfg)
+		sel := SelectRepresentativesNamed(e, "select", frame, clusters, selCfg)
 
 		ev, err := eval.Get(ctx)
 		if err != nil {
@@ -128,12 +128,12 @@ func TestPaperStagesColdWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := Simulate(e, cfg)
-	frame := DatasetFrame(e, sim)
+	sim := SimulateNamed(e, "simulate", cfg)
+	frame := DatasetFrameNamed(e, "frame", sim)
 	clCfg2 := clCfg
 	clCfg2.Metric = cluster.Correlation
-	clusters := ClusterSensors(e, frame, clCfg2)
-	sel := SelectRepresentatives(e, frame, clusters, selCfg)
+	clusters := ClusterSensorsNamed(e, "cluster", frame, clCfg2)
+	sel := SelectRepresentativesNamed(e, "select", frame, clusters, selCfg)
 	if _, err := sel.Get(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestControlRunCachedAndCustomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := ControlRun(e, cc, nil)
+		n := ControlRunNamed(e, "control", cc, nil)
 		s, err := n.Get(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +193,7 @@ func TestControlRunCachedAndCustomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ControlRun(e, cc, func(lc *control.LoopConfig) error { return nil })
+	n := ControlRunNamed(e, "control", cc, func(lc *control.LoopConfig) error { return nil })
 	if _, err := n.Get(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestControlRunUnknownController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := ControlRun(e, ControlConfig{Controller: "pid", Days: 1}, nil)
+	n := ControlRunNamed(e, "control", ControlConfig{Controller: "pid", Days: 1}, nil)
 	if _, err := n.Get(context.Background()); err == nil {
 		t.Error("unknown controller accepted")
 	}

@@ -94,8 +94,8 @@ func parseMetric(name string) (cluster.Metric, error) {
 // frameNodes wires the shared head of the analysis endpoints: the
 // simulated dataset and its identification frame.
 func (s *Server) frameNodes(eng *pipeline.Engine) (*pipeline.Node[*dataset.Dataset], *pipeline.Node[*timeseries.Frame]) {
-	ds := pipeline.Simulate(eng, s.cfg.Dataset)
-	return ds, pipeline.DatasetFrame(eng, ds)
+	ds := pipeline.SimulateNamed(eng, "simulate", s.cfg.Dataset)
+	return ds, pipeline.DatasetFrameNamed(eng, "frame", ds)
 }
 
 // parseSysid: GET /v1/sysid?order=2&mode=occupied&horizon=4h&on=6&off=21&max_missing=0.5
@@ -147,8 +147,8 @@ func (s *Server) parseSysid(q url.Values) (map[string]string, computeFn, error) 
 			OnHour: onHour, OffHour: offHour,
 			MaxMissing: maxMissing,
 		}
-		model := pipeline.Identify(eng, frame, idCfg)
-		ev, err := pipeline.Evaluate(eng, frame, model, idCfg, horizon).Get(ctx)
+		model := pipeline.IdentifyNamed(eng, "sysid", frame, idCfg)
+		ev, err := pipeline.EvaluateNamed(eng, "evaluate", frame, model, idCfg, horizon).Get(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +185,7 @@ func (s *Server) parseCluster(q url.Values) (map[string]string, computeFn, error
 	}
 	compute := func(ctx context.Context, eng *pipeline.Engine, b *obs.ManifestBuilder) (any, error) {
 		_, frame := s.frameNodes(eng)
-		ca, err := pipeline.ClusterSensors(eng, frame, pipeline.ClusterConfig{
+		ca, err := pipeline.ClusterSensorsNamed(eng, "cluster", frame, pipeline.ClusterConfig{
 			Metric: metric, K: k,
 			OnHour: onHour, OffHour: offHour,
 			Seed: int64(seed),
@@ -230,12 +230,12 @@ func (s *Server) parseSelect(q url.Values) (map[string]string, computeFn, error)
 	}
 	compute := func(ctx context.Context, eng *pipeline.Engine, b *obs.ManifestBuilder) (any, error) {
 		_, frame := s.frameNodes(eng)
-		clusters := pipeline.ClusterSensors(eng, frame, pipeline.ClusterConfig{
+		clusters := pipeline.ClusterSensorsNamed(eng, "cluster", frame, pipeline.ClusterConfig{
 			Metric: metric, K: k,
 			OnHour: onHour, OffHour: offHour,
 			Seed: 11, TrainHalf: true,
 		})
-		sa, err := pipeline.SelectRepresentatives(eng, frame, clusters, pipeline.SelectConfig{
+		sa, err := pipeline.SelectRepresentativesNamed(eng, "select", frame, clusters, pipeline.SelectConfig{
 			OnHour: onHour, OffHour: offHour,
 			Seeds: seeds, GPMode: gpMode,
 		}).Get(ctx)
@@ -278,7 +278,7 @@ func (s *Server) parseControl(q url.Values) (map[string]string, computeFn, error
 		return nil, nil, err
 	}
 	compute := func(ctx context.Context, eng *pipeline.Engine, b *obs.ManifestBuilder) (any, error) {
-		cs, err := pipeline.ControlRun(eng, pipeline.ControlConfig{
+		cs, err := pipeline.ControlRunNamed(eng, "control", pipeline.ControlConfig{
 			Controller: controller, Days: days,
 			Setpoint: setpoint, Flow: flow, Seed: int64(seed),
 		}, nil).Get(ctx)
