@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build examples test race fuzz-smoke repro-digest bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
+.PHONY: check vet build examples test race fuzz-smoke repro-digest fleet-digest bench bench-par bench-gp bench-monitor bench-pipeline bench-trace bench-serve bench-store bench-fleet benchdiff clean
 
 check: vet build examples race test
 
@@ -44,9 +44,16 @@ examples:
 # lock-free WireRef/sink parent walks ride every span End, and
 # internal/serve extracts links and tallies per-endpoint counters
 # while requests race the drain gate — serve joins the race gate for
-# that.
+# that. dataset.Generate runs the sensor-network sampling in a second
+# goroutine fed blocks of building steps, and the experiments fan
+# Table I, Fig 5 and Fig 11 fits out over par while sharing memoized
+# standard-split fits; the Generate tests and those three reports'
+# tests run under the detector (about 80 s on a 2-core host; the full
+# dataset suite would take 91 s under -race there on its own).
 race:
 	$(GO) test -race -short ./internal/fleet
+	$(GO) test -race -run Generate ./internal/dataset
+	$(GO) test -race -run 'TestTableIPaperClaims|TestFigure5SweepClaims|TestFigure11SimplifiedModels' ./internal/experiments
 	$(GO) test -race ./internal/obs ./internal/building ./internal/par ./internal/sysid ./internal/cluster ./internal/selection ./internal/mat ./internal/monitor ./internal/pipeline ./internal/artifact ./internal/traceview ./internal/serve
 
 test:
@@ -73,6 +80,23 @@ repro-digest:
 	want=$$(cut -d' ' -f1 cmd/repro/testdata/paper_stdout.sha256) && \
 	if [ "$$got" != "$$want" ]; then echo "repro stdout sha256 $$got, want $$want" >&2; exit 1; fi && \
 	echo "repro stdout sha256 $$got matches cmd/repro/testdata/paper_stdout.sha256"
+
+# The fleet-report contract: `fleet -n 12` (no cache, no store) must
+# write, at 1 and at 2 workers, exactly the report whose sha256 is
+# recorded in cmd/fleet/testdata/report_n12.sha256 (recorded on
+# linux/amd64). A change that means to move the fleet numbers updates
+# that file in the same commit and says why.
+fleet-digest:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/fleet" ./cmd/fleet && \
+	want=$$(cut -d' ' -f1 cmd/fleet/testdata/report_n12.sha256) && \
+	for w in 1 2; do \
+		AUDITHERM_CACHE= AUDITHERM_STORE= "$$dir/fleet" -n 12 -cache-dir '' -store '' -workers $$w -log-level error \
+			-out "$$dir/report.json" > /dev/null && \
+		got=$$(sha256sum < "$$dir/report.json" | cut -d' ' -f1) && \
+		if [ "$$got" != "$$want" ]; then echo "fleet -n 12 -workers $$w report sha256 $$got, want $$want" >&2; exit 1; fi && \
+		echo "fleet -n 12 -workers $$w report sha256 $$got matches cmd/fleet/testdata/report_n12.sha256" || exit 1; \
+	done
 
 # Refresh the observability/perf baseline recorded in BENCH_obs.json.
 bench:

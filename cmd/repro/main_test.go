@@ -306,3 +306,48 @@ func TestBadControlDays(t *testing.T) {
 		t.Fatal("expected an error for a non-positive control-days")
 	}
 }
+
+// TestManifestKeepsStdout runs `repro -only fig2` with and without
+// -manifest, capturing the process stdout as main sees it: the
+// manifest must not change a byte of it.
+func TestManifestKeepsStdout(t *testing.T) {
+	dir := t.TempDir()
+	capture := func(manifest string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, "stdout")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = f
+		defer func() { os.Stdout = stdout }()
+		rt, err := (&cliutil.Common{LogLevel: "error", Manifest: manifest}).Start("repro")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runErr := run(rt, os.Stdout, "fig2", false, smallConfig(), 2)
+		rt.Close()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if runErr != nil {
+			t.Fatalf("run (manifest %q): %v", manifest, runErr)
+		}
+		out, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	plain := capture("")
+	manifest := filepath.Join(dir, "m.json")
+	withManifest := capture(manifest)
+	if !bytes.Equal(plain, withManifest) {
+		t.Errorf("stdout with -manifest differs:\n%s\nwithout:\n%s", withManifest, plain)
+	}
+	if !strings.Contains(string(plain), "== fig2 ==") {
+		t.Errorf("stdout lacks the fig2 report:\n%s", plain)
+	}
+	readManifest(t, manifest)
+}

@@ -811,3 +811,49 @@ func TestBackendChurn(t *testing.T) {
 		churn(t, tiered)
 	})
 }
+
+func TestHandlerPutBodyLimit(t *testing.T) {
+	defer func(n int64) { maxPutBytes = n }(maxPutBytes)
+	maxPutBytes = 64
+	srv, st, _ := startArtifactServer(t, "")
+	ctx := context.Background()
+	r, err := NewRemote(srv.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	// At the limit: the round trip is unchanged.
+	key := HashBytes([]byte("at-limit"))
+	payload := bytes.Repeat([]byte("x"), 64)
+	if _, err := r.PutBytes(ctx, key, payload); err != nil {
+		t.Fatalf("put at the limit: %v", err)
+	}
+	got, _, err := r.Fetch(ctx, key)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("fetch at the limit: %q, %v", got, err)
+	}
+
+	// One byte over: 413, and nothing stored.
+	big := HashBytes([]byte("over-limit"))
+	req, err := http.NewRequest(http.MethodPut, srv.URL+artifactsPathPrefix+string(big),
+		bytes.NewReader(bytes.Repeat([]byte("x"), 65)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-limit upload got %s, want 413", resp.Status)
+	}
+	if st.Has(ctx, big) {
+		t.Error("over-limit upload was stored")
+	}
+	if _, err := r.PutBytes(ctx, big, bytes.Repeat([]byte("x"), 65)); err == nil {
+		t.Error("client put over the limit succeeded")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,9 +23,10 @@ import (
 //	                                X-Auditherm-Content when sent)
 //
 // A malformed digest — wrong length, non-hex, any path-traversal
-// attempt — is rejected with 400 before the store is touched. With a
-// token configured, requests must carry "Authorization: Bearer
-// <token>" or get 401; comparison is constant-time.
+// attempt — is rejected with 400 before the store is touched, and a
+// PUT body over 256 MiB with 413. With a token configured, requests
+// must carry "Authorization: Bearer <token>" or get 401; comparison is
+// constant-time.
 //
 // GET responds with the content digest the server recorded at Put time
 // (falling back to hashing the stored bytes for artifacts that predate
@@ -148,8 +150,18 @@ func (h *Handler) get(w http.ResponseWriter, r *http.Request, key Digest) {
 	artifactServedBytesTotal.Add(n)
 }
 
+// maxPutBytes bounds a PUT body. The largest paper artifact, the
+// 98-day auditorium dataset, encodes to about 14 MB.
+var maxPutBytes int64 = 256 << 20
+
 func (h *Handler) put(w http.ResponseWriter, r *http.Request, key Digest) {
-	data, err := io.ReadAll(r.Body)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPutBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpJSONError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("body exceeds the %d-byte artifact limit", tooBig.Limit))
+		return
+	}
 	if err != nil {
 		httpJSONError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return

@@ -424,8 +424,13 @@ func (s *Simulator) MeanTemp() float64 {
 // point: the well-mixed humidity ratio evaluated against the local
 // temperature's saturation ratio.
 func (s *Simulator) RelativeHumidityAt(p Point) float64 {
-	t := s.TemperatureAt(p)
-	rh := 100 * s.air.humidity / saturationRatio(t)
+	return RelativeHumidity(s.TemperatureAt(p), s.air.humidity)
+}
+
+// RelativeHumidity returns the relative humidity (percent, clamped to
+// [0, 100]) of air at t degC holding humidity ratio w kg/kg.
+func RelativeHumidity(t, w float64) float64 {
+	rh := 100 * w / saturationRatio(t)
 	if rh < 0 {
 		return 0
 	}
@@ -434,6 +439,9 @@ func (s *Simulator) RelativeHumidityAt(p Point) float64 {
 	}
 	return rh
 }
+
+// HumidityRatio returns the well-mixed humidity ratio in kg/kg.
+func (s *Simulator) HumidityRatio() float64 { return s.air.humidity }
 
 // CO2 returns the well-mixed CO2 concentration in ppm.
 func (s *Simulator) CO2() float64 { return s.air.co2 }

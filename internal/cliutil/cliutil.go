@@ -418,7 +418,8 @@ func (rt *Runtime) WriteManifest(b *obs.ManifestBuilder) error {
 	if b == rt.manifest {
 		rt.manifestDone = true
 	}
-	fmt.Printf("manifest written to %s\n", rt.common.Manifest)
+	// stderr: stdout stays a pure function of the run's config.
+	fmt.Fprintf(os.Stderr, "manifest written to %s\n", rt.common.Manifest)
 	return nil
 }
 

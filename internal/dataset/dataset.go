@@ -265,7 +265,8 @@ func Generate(cfg Config) (*Dataset, error) {
 		LossProb:        cfg.Node.LossProb,
 	}
 	var rhSensors []building.SensorSpec
-	for _, sp := range sensors {
+	var rhRows []int // sensor row of each humidity node
+	for i, sp := range sensors {
 		if sp.Thermostat {
 			continue
 		}
@@ -275,6 +276,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		}
 		nodes = append(nodes, n)
 		rhSensors = append(rhSensors, sp)
+		rhRows = append(rhRows, i)
 	}
 	net, err := sensornet.NewNetwork(nodes, store)
 	if err != nil {
@@ -316,64 +318,113 @@ func Generate(cfg Config) (*Dataset, error) {
 		}
 	}
 
-	// Co-simulation loop.
+	// Co-simulation, in two stages. This goroutine steps the plant and
+	// the building, probes the sensor field and records ground truth;
+	// one sampling goroutine turns each step's probes into readings,
+	// portal records and the CO2 log, in step order. Sensing never
+	// feeds back into the building, so the split moves no bit.
 	nSteps := int(end.Sub(cfg.Start) / cfg.SimStep)
-	truths := make([]float64, len(sensors)+len(rhSensors))
-	co2Series := timeseries.NewSeries(ChannelCO2)
-	nextCO2 := cfg.Start
-	for k := 0; k < nSteps; k++ {
-		t := cfg.Start.Add(time.Duration(k) * cfg.SimStep)
-
-		ambient, ok := ambientSeries.InterpAt(t)
-		if !ok {
-			ambient, _ = ambientSeries.ValueAt(t)
-		}
-		occ := sched.CountAt(t)
-		lights := occ > 0
-
+	smp := &sampler{
+		net:      net,
+		store:    store,
+		portal:   portal,
+		nSensors: len(sensors),
+		rhRows:   rhRows,
+		co2:      timeseries.NewSeries(ChannelCO2),
+		nextCO2:  cfg.Start,
+	}
+	free := make(chan *stepBlock, numStepBlocks)
+	filled := make(chan *stepBlock, numStepBlocks)
+	for i := 0; i < numStepBlocks; i++ {
+		free <- newStepBlock(len(nodes))
+	}
+	done := make(chan struct{})
+	var sampleErr error
+	var samplePanic any
+	go func() {
+		defer close(done)
+		defer func() { samplePanic = recover() }()
+		sampleErr = smp.run(filled, free)
+	}()
+	simErr := func() error {
+		var b *stepBlock
+		// Hand over the steps already taken and join the sampler on
+		// every path out, so a failure here still samples what the
+		// serial loop would have sampled before it.
+		defer func() {
+			if b != nil && b.n > 0 {
+				filled <- b
+			}
+			close(filled)
+			<-done
+		}()
 		thermo := make([]float64, len(thermoPos))
-		for i, p := range thermoPos {
-			thermo[i] = sim.TemperatureAt(p)
-		}
-		st, err := plant.Step(t, cfg.SimStep, thermo)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: plant step at %v: %w", t, err)
-		}
-		if err := sim.Step(cfg.SimStep, building.Inputs{
-			HVAC:      st,
-			Occupants: occ,
-			LightsOn:  lights,
-			Ambient:   ambient,
-		}); err != nil {
-			return nil, fmt.Errorf("dataset: building step at %v: %w", t, err)
-		}
+		for k := 0; k < nSteps; k++ {
+			if b == nil {
+				select {
+				case b = <-free:
+					b.n = 0
+				case <-done:
+					return nil // the sampler failed first; its error wins
+				}
+			}
+			t := cfg.Start.Add(time.Duration(k) * cfg.SimStep)
 
-		for i, sp := range sensors {
-			truths[i] = sim.TemperatureAt(sp.Pos)
-		}
-		for i, sp := range rhSensors {
-			truths[len(sensors)+i] = sim.RelativeHumidityAt(sp.Pos)
-		}
-		if err := net.Sample(t, truths); err != nil {
-			return nil, fmt.Errorf("dataset: network sample at %v: %w", t, err)
-		}
-		// The portal server lives behind the same backend: outages drop
-		// its records too.
-		if !store.InOutage(t) {
-			portal.Offer(t, st)
-			if !t.Before(nextCO2) {
-				co2Series.Append(t, sim.CO2())
-				nextCO2 = t.Add(10 * time.Minute)
+			ambient, ok := ambientSeries.InterpAt(t)
+			if !ok {
+				ambient, _ = ambientSeries.ValueAt(t)
+			}
+			occ := sched.CountAt(t)
+			lights := occ > 0
+
+			for i, p := range thermoPos {
+				thermo[i] = sim.TemperatureAt(p)
+			}
+			st, err := plant.Step(t, cfg.SimStep, thermo)
+			if err != nil {
+				return fmt.Errorf("dataset: plant step at %v: %w", t, err)
+			}
+			if err := sim.Step(cfg.SimStep, building.Inputs{
+				HVAC:      st,
+				Occupants: occ,
+				LightsOn:  lights,
+				Ambient:   ambient,
+			}); err != nil {
+				return fmt.Errorf("dataset: building step at %v: %w", t, err)
+			}
+
+			row := b.row(b.n)
+			for i, sp := range sensors {
+				row[i] = sim.TemperatureAt(sp.Pos)
+			}
+			b.times[b.n] = t
+			b.humidity[b.n] = sim.HumidityRatio()
+			b.co2[b.n] = sim.CO2()
+			b.hvac[b.n] = st
+			b.n++
+
+			// Record ground truth once per grid cell: the first sim step
+			// at or after the grid instant (staleness below one sim step).
+			if gk, ok := grid.Index(t); ok && math.IsNaN(truth.Values[0][gk]) {
+				for i := range sensors {
+					truth.Values[i][gk] = row[i]
+				}
+			}
+			if b.n == stepBlockLen {
+				filled <- b
+				b = nil
 			}
 		}
-
-		// Record ground truth once per grid cell: the first sim step at
-		// or after the grid instant (staleness below one sim step).
-		if gk, ok := grid.Index(t); ok && math.IsNaN(truth.Values[0][gk]) {
-			for i := range sensors {
-				truth.Values[i][gk] = truths[i]
-			}
-		}
+		return nil
+	}()
+	if samplePanic != nil {
+		panic(samplePanic)
+	}
+	if sampleErr != nil {
+		return nil, sampleErr
+	}
+	if simErr != nil {
+		return nil, simErr
 	}
 
 	// Assemble the identification frame.
@@ -408,7 +459,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err := frame.SetChannel(ChannelSupply, portal.SupplySeries().Resample(grid, time.Hour)); err != nil {
 		return nil, err
 	}
-	if err := frame.SetChannel(ChannelCO2, co2Series.Resample(grid, time.Hour)); err != nil {
+	if err := frame.SetChannel(ChannelCO2, smp.co2.Resample(grid, time.Hour)); err != nil {
 		return nil, err
 	}
 	for _, sp := range rhSensors {
@@ -447,6 +498,90 @@ func Generate(cfg Config) (*Dataset, error) {
 	simStepsTotal.Add(int64(nSteps))
 	recordFrameStats(frame.Values)
 	return d, nil
+}
+
+// stepBlockLen is how many co-simulation steps travel from the building
+// stage to the sampling stage at a time, and numStepBlocks how many
+// blocks circulate between them.
+const (
+	stepBlockLen  = 256
+	numStepBlocks = 4
+)
+
+// stepBlock carries consecutive co-simulation steps from the building
+// stage to the sampling stage.
+type stepBlock struct {
+	n     int // steps filled
+	nodes int // readings per step
+	times []time.Time
+	// truths holds one row of nodes values per step: the sensor
+	// temperatures written by the building stage, then the relative
+	// humidities the sampling stage derives from them.
+	truths   []float64
+	humidity []float64 // well-mixed humidity ratio, kg/kg
+	co2      []float64 // well-mixed CO2, ppm
+	hvac     []hvac.State
+}
+
+func newStepBlock(nodes int) *stepBlock {
+	return &stepBlock{
+		nodes:    nodes,
+		times:    make([]time.Time, stepBlockLen),
+		truths:   make([]float64, stepBlockLen*nodes),
+		humidity: make([]float64, stepBlockLen),
+		co2:      make([]float64, stepBlockLen),
+		hvac:     make([]hvac.State, stepBlockLen),
+	}
+}
+
+// row returns step j's network truths.
+func (b *stepBlock) row(j int) []float64 { return b.truths[j*b.nodes : (j+1)*b.nodes] }
+
+// sampler is the sensing stage of the co-simulation: it owns the
+// sensor network, its backend store, the HVAC portal and the CO2 log.
+type sampler struct {
+	net      *sensornet.Network
+	store    *sensornet.Store
+	portal   *hvac.Logger
+	nSensors int
+	rhRows   []int // sensor row of each humidity node, in node order
+	co2      *timeseries.Series
+	nextCO2  time.Time
+}
+
+// run samples every filled block in order, returning each to free, and
+// stops at the first error.
+func (s *sampler) run(filled <-chan *stepBlock, free chan<- *stepBlock) error {
+	for b := range filled {
+		for j := 0; j < b.n; j++ {
+			if err := s.step(b, j); err != nil {
+				return err
+			}
+		}
+		free <- b
+	}
+	return nil
+}
+
+func (s *sampler) step(b *stepBlock, j int) error {
+	t := b.times[j]
+	row := b.row(j)
+	for i, r := range s.rhRows {
+		row[s.nSensors+i] = building.RelativeHumidity(row[r], b.humidity[j])
+	}
+	if err := s.net.Sample(t, row); err != nil {
+		return fmt.Errorf("dataset: network sample at %v: %w", t, err)
+	}
+	// The portal server lives behind the same backend: outages drop
+	// its records too.
+	if !s.store.InOutage(t) {
+		s.portal.Offer(t, b.hvac[j])
+		if !t.Before(s.nextCO2) {
+			s.co2.Append(t, b.co2[j])
+			s.nextCO2 = t.Add(10 * time.Minute)
+		}
+	}
+	return nil
 }
 
 func sensorNames(sensors []building.SensorSpec) []string {

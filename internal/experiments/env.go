@@ -11,12 +11,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"auditherm/internal/dataset"
 	"auditherm/internal/mat"
+	"auditherm/internal/par"
+	"auditherm/internal/sysid"
 	"auditherm/internal/timeseries"
 )
 
@@ -44,6 +47,21 @@ type Env struct {
 	// in time order (dataset.ModelData.Split).
 	OccTrain, OccValid     []timeseries.Segment
 	UnoccTrain, UnoccValid []timeseries.Segment
+
+	// fits memoizes fitMode per (mode, order).
+	fitsMu sync.Mutex
+	fits   map[modeFit]*fitOnce
+}
+
+type modeFit struct {
+	mode  dataset.Mode
+	order sysid.Order
+}
+
+type fitOnce struct {
+	once  sync.Once
+	model *sysid.Model
+	err   error
 }
 
 // NewEnv generates a dataset and derives the experiment inputs.
@@ -63,7 +81,7 @@ func NewEnvFromDataset(d *dataset.Dataset) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{Dataset: d, ModelData: md}
+	env := &Env{Dataset: d, ModelData: md, fits: make(map[modeFit]*fitOnce)}
 	for i, sp := range d.Sensors {
 		if sp.Thermostat {
 			env.ThermoIdx = append(env.ThermoIdx, i)
@@ -109,6 +127,26 @@ func (e *Env) ValidWindows(mode dataset.Mode) []timeseries.Segment {
 		return e.UnoccValid
 	}
 	return e.OccValid
+}
+
+// fanOut runs fn for every index in [0, n) on the process default
+// worker count and returns each index's result and error. Callers fold
+// them in the serial loop's order, so sums keep their summation order
+// and the error returned is the one that loop would have hit first.
+func fanOut[T any](n int, fn func(i int) (T, error)) ([]T, []error) {
+	type result struct {
+		v   T
+		err error
+	}
+	rs, _ := par.Map(context.Background(), 0, n, func(i int) (result, error) {
+		v, err := fn(i)
+		return result{v, err}, nil
+	})
+	vs, errs := make([]T, n), make([]error, n)
+	for i, r := range rs {
+		vs[i], errs[i] = r.v, r.err
+	}
+	return vs, errs
 }
 
 // HorizonSteps converts a wall-clock horizon to grid steps.

@@ -33,9 +33,7 @@ const warmupSteps = 8
 
 // VirtualSensing runs the Kalman-filter reconstruction study.
 func VirtualSensing(e *Env) (*VirtualSensingResult, error) {
-	data := e.Data
-	trainWins := e.TrainWindows(dataset.Occupied)
-	model, err := sysid.Fit(data, trainWins, sysid.SecondOrder, sysid.DefaultOptions())
+	model, err := e.fitMode(dataset.Occupied, sysid.SecondOrder)
 	if err != nil {
 		return nil, err
 	}

@@ -15,13 +15,25 @@ import (
 )
 
 // fitMode identifies a model of the given order on the mode's training
-// windows.
+// windows. Each (mode, order) is fitted once per Env and shared by every
+// report and concurrent caller that asks for it; callers must not
+// modify the returned model.
 func (e *Env) fitMode(mode dataset.Mode, order sysid.Order) (*sysid.Model, error) {
-	m, err := sysid.Fit(e.Data, e.TrainWindows(mode), order, sysid.DefaultOptions())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fitting %v %v model: %w", mode, order, err)
+	key := modeFit{mode, order}
+	e.fitsMu.Lock()
+	f, ok := e.fits[key]
+	if !ok {
+		f = &fitOnce{}
+		e.fits[key] = f
 	}
-	return m, nil
+	e.fitsMu.Unlock()
+	f.once.Do(func() {
+		f.model, f.err = sysid.Fit(e.Data, e.TrainWindows(mode), order, sysid.DefaultOptions())
+		if f.err != nil {
+			f.err = fmt.Errorf("experiments: fitting %v %v model: %w", mode, order, f.err)
+		}
+	})
+	return f.model, f.err
 }
 
 // evalMode evaluates a model on the mode's validation windows.
@@ -36,26 +48,30 @@ type TableIResult struct {
 	RMS90 [2][2]float64
 }
 
-// TableI runs the paper's Table I experiment.
+// TableI runs the paper's Table I experiment: its four mode × order
+// fits run concurrently.
 func TableI(e *Env) (*TableIResult, error) {
-	res := &TableIResult{}
 	horizon := e.HorizonSteps(PaperHorizon)
-	for mi, mode := range []dataset.Mode{dataset.Occupied, dataset.Unoccupied} {
-		for oi, order := range []sysid.Order{sysid.FirstOrder, sysid.SecondOrder} {
-			m, err := e.fitMode(mode, order)
-			if err != nil {
-				return nil, err
-			}
-			ev, err := e.evalMode(m, mode, horizon)
-			if err != nil {
-				return nil, err
-			}
-			p90, err := ev.RMSPercentile(90)
-			if err != nil {
-				return nil, err
-			}
-			res.RMS90[mi][oi] = p90
+	modes := []dataset.Mode{dataset.Occupied, dataset.Unoccupied}
+	orders := []sysid.Order{sysid.FirstOrder, sysid.SecondOrder}
+	p90s, errs := fanOut(len(modes)*len(orders), func(i int) (float64, error) {
+		mode := modes[i/len(orders)]
+		m, err := e.fitMode(mode, orders[i%len(orders)])
+		if err != nil {
+			return 0, err
 		}
+		ev, err := e.evalMode(m, mode, horizon)
+		if err != nil {
+			return 0, err
+		}
+		return ev.RMSPercentile(90)
+	})
+	res := &TableIResult{}
+	for i, p90 := range p90s {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		res.RMS90[i/len(orders)][i%len(orders)] = p90
 	}
 	return res, nil
 }
@@ -287,7 +303,8 @@ type Figure5Result struct {
 	ValidationDays int
 }
 
-// Figure5 sweeps training horizon and prediction length.
+// Figure5 sweeps training horizon and prediction length. The
+// training-horizon fits run concurrently.
 func Figure5(e *Env) (*Figure5Result, error) {
 	res := &Figure5Result{
 		TrainDays:    []int{13, 27, 34, 44, 58},
@@ -302,24 +319,26 @@ func Figure5(e *Env) (*Figure5Result, error) {
 	data := e.Data
 	horizon := e.HorizonSteps(PaperHorizon)
 	res.ValidationDays = 1
-	for oi, order := range []sysid.Order{sysid.FirstOrder, sysid.SecondOrder} {
-		for _, nd := range res.TrainDays {
-			if nd > len(history) {
-				nd = len(history)
+	orders := []sysid.Order{sysid.FirstOrder, sysid.SecondOrder}
+	nTrain := len(res.TrainDays)
+	trainP90, trainErrs := fanOut(len(orders)*nTrain, func(i int) (float64, error) {
+		nd := min(res.TrainDays[i%nTrain], len(history))
+		m, err := sysid.Fit(data, history[len(history)-nd:], orders[i/nTrain], sysid.DefaultOptions())
+		if err != nil {
+			return 0, err
+		}
+		ev, err := sysid.Evaluate(m, data, []timeseries.Segment{validWin}, horizon)
+		if err != nil {
+			return 0, err
+		}
+		return ev.RMSPercentile(90)
+	})
+	for oi, order := range orders {
+		for i := oi * nTrain; i < (oi+1)*nTrain; i++ {
+			if trainErrs[i] != nil {
+				return nil, trainErrs[i]
 			}
-			m, err := sysid.Fit(data, history[len(history)-nd:], order, sysid.DefaultOptions())
-			if err != nil {
-				return nil, err
-			}
-			ev, err := sysid.Evaluate(m, data, []timeseries.Segment{validWin}, horizon)
-			if err != nil {
-				return nil, err
-			}
-			p90, err := ev.RMSPercentile(90)
-			if err != nil {
-				return nil, err
-			}
-			res.TrainRMS90[oi] = append(res.TrainRMS90[oi], p90)
+			res.TrainRMS90[oi] = append(res.TrainRMS90[oi], trainP90[i])
 		}
 		// Prediction-length sweep on the standard split.
 		m, err := e.fitMode(dataset.Occupied, order)

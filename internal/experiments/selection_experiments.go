@@ -420,49 +420,94 @@ type Figure11Result struct {
 
 // Figure11 sweeps k = 2..8 fitting reduced second-order models on the
 // representative sensors and scoring their free-run predictions
-// against the true cluster means.
+// against the true cluster means. The selections are drawn serially in
+// seed order; the 7 × (1 + 2 × selectionSeeds) reduced fits then run
+// concurrently and are folded back in draw order.
 func Figure11(e *Env) (*Figure11Result, error) {
-	res := &Figure11Result{}
-	for k := 2; k <= 8; k++ {
+	// A sweep point's draws: the SMS selection, then SRS and RS per seed.
+	type point struct {
+		k    int
+		sc   *selectionContext
+		reps [][]int
+	}
+	var points []point
+	var drawErr error
+	for k := 2; k <= 8 && drawErr == nil; k++ {
 		sc, err := e.newSelectionContext(k)
 		if err != nil {
-			return nil, err
+			drawErr = err
+			break
 		}
 		sms, err := e.smsSelection(sc)
 		if err != nil {
-			return nil, err
+			drawErr = err
+			break
 		}
-		smsV, err := e.reducedModelError99(sc, flattenReps(sms))
-		if err != nil {
-			return nil, err
-		}
-		var srsSum, rsSum float64
-		srsN, rsN := 0, 0
+		pt := point{k: k, sc: sc, reps: [][]int{flattenReps(sms)}}
 		for seed := int64(1); seed <= selectionSeeds; seed++ {
 			srs, err := e.srsSelection(sc, 1, seed)
 			if err != nil {
-				return nil, err
+				drawErr = err
+				break
 			}
-			if v, err := e.reducedModelError99(sc, flattenReps(srs)); err == nil {
-				srsSum += v
-				srsN++
-			}
+			pt.reps = append(pt.reps, flattenReps(srs))
 			rs, err := e.rsSelection(sc, seed)
 			if err != nil {
-				return nil, err
+				drawErr = err
+				break
 			}
-			if v, err := e.reducedModelError99(sc, flattenReps(rs)); err == nil {
-				rsSum += v
+			pt.reps = append(pt.reps, flattenReps(rs))
+		}
+		points = append(points, pt)
+	}
+
+	type fit struct{ point, rep int }
+	var fits []fit
+	for p, pt := range points {
+		for r := range pt.reps {
+			fits = append(fits, fit{p, r})
+		}
+	}
+	errs99, fitErrs := fanOut(len(fits), func(i int) (float64, error) {
+		pt := points[fits[i].point]
+		return e.reducedModelError99(pt.sc, pt.reps[fits[i].rep])
+	})
+
+	res := &Figure11Result{}
+	i := 0
+	for _, pt := range points {
+		if fitErrs[i] != nil {
+			return nil, fitErrs[i] // the SMS model must fit
+		}
+		smsV := errs99[i]
+		if len(pt.reps) < 1+2*selectionSeeds {
+			return nil, drawErr // the draws stopped inside this point
+		}
+		// SRS and RS draws whose reduced model cannot be scored are
+		// left out of their averages.
+		var srsSum, rsSum float64
+		srsN, rsN := 0, 0
+		for j := i + 1; j < i+len(pt.reps); j += 2 {
+			if fitErrs[j] == nil {
+				srsSum += errs99[j]
+				srsN++
+			}
+			if fitErrs[j+1] == nil {
+				rsSum += errs99[j+1]
 				rsN++
 			}
 		}
+		i += len(pt.reps)
 		if srsN == 0 || rsN == 0 {
-			return nil, fmt.Errorf("experiments: no evaluable reduced models at k=%d", k)
+			return nil, fmt.Errorf("experiments: no evaluable reduced models at k=%d", pt.k)
 		}
-		res.ClusterCounts = append(res.ClusterCounts, k)
+		res.ClusterCounts = append(res.ClusterCounts, pt.k)
 		res.SMS = append(res.SMS, smsV)
 		res.SRS = append(res.SRS, srsSum/float64(srsN))
 		res.RS = append(res.RS, rsSum/float64(rsN))
+	}
+	if drawErr != nil {
+		return nil, drawErr
 	}
 	return res, nil
 }
